@@ -14,7 +14,7 @@ specs += [parse_family(f"cerny:n={n}") for n in (4, 6, 8)]
 specs.append(parse_family("witness"))
 specs.append(parse_family("padded:d=3,n=7"))
 
-rows = sweep(specs, workers=4)
+rows = sweep(specs)
 print(sweep_csv(rows), end="")
 
 print()

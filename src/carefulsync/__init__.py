@@ -7,7 +7,6 @@ truth.
 """
 
 from .core import (
-    UNDEFINED,
     Pfa,
     RunResult,
     apply_set,

@@ -136,10 +136,11 @@ def _cmd_words(args) -> int:
     if spec.kind == "cerny":
         pfa = spec.build()
         classic = cerny_word(spec.n)
+        # Build the override word first, so an invalid one prints nothing.
+        alt = None if args.r_override is None else cerny_alt_word(spec.n, args.r_override)
         print(f"classic-word: {format_word(pfa.letters, classic)}")
         print(f"classic-length: {len(classic)}")
-        if args.r_override is not None:
-            alt = cerny_alt_word(spec.n, args.r_override)
+        if alt is not None:
             ok, _ = is_careful_sync_word(pfa, alt)
             print(f"two-phase-word (r={args.r_override}): {format_word(pfa.letters, alt)}")
             print(f"two-phase-verifies: {'yes' if ok else 'no'}")
@@ -191,7 +192,7 @@ def _cmd_sweep(args) -> int:
         specs = [
             replace(s, seed=args.seed) if s.kind == "random" else s for s in specs
         ]
-    rows = sweep(specs, max_subsets=args.max_subsets, workers=args.workers)
+    rows = sweep(specs, max_subsets=args.max_subsets)
     _emit(sweep_csv(rows, include_timings=args.timings), args.out)
     return EXIT_OK
 
@@ -260,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", action="append", required=True)
     p.add_argument("--out")
     p.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--timings", action="store_true")
     p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_sweep)

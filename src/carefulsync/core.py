@@ -20,9 +20,6 @@ from typing import Iterable, Sequence
 Word = tuple[int, ...]
 StateSet = int
 
-# Undefined transition entries are stored in-band as None.
-UNDEFINED = None
-
 
 @dataclass(frozen=True)
 class Pfa:
@@ -128,29 +125,44 @@ def format_state_set(pfa: Pfa, mask: int) -> str:
     return "{" + ",".join(pfa.state_name(q) for q in states_from_bits(mask)) + "}"
 
 
-def apply_set(pfa: Pfa, s: int, letter: int) -> int | None:
-    """Image of a nonempty state subset under one letter.
+def letter_columns(pfa: Pfa) -> list[tuple[int | None, ...]]:
+    """Transition table by letter: ``letter_columns(pfa)[a][q] == pfa.delta[q][a]``.
 
-    Returns the image mask when the letter is defined on every member of
-    ``s`` and ``None`` otherwise (the in-band "undefined" outcome of the
-    power automaton).  An empty subset or an invalid letter index is a
-    usage error.
+    Each column is read row by row, not with ``zip(*delta)``, so an
+    unvalidated ragged table raises IndexError instead of being truncated.
     """
-    if s == 0:
-        raise ValueError("cannot apply a letter to the empty state set")
-    if not 0 <= letter < len(pfa.letters):
-        raise ValueError(f"letter index {letter} out of range")
+    return [
+        tuple(pfa.delta[q][a] for q in range(pfa.n))
+        for a in range(len(pfa.letters))
+    ]
+
+
+def image(col: tuple[int | None, ...], s: int) -> int | None:
+    """Image of the subset ``s`` under the letter whose column is ``col``.
+
+    Returns ``None`` (the power automaton's "undefined" outcome) when the
+    letter is undefined on some member of ``s``.
+    """
     out = 0
     m = s
-    delta = pfa.delta
     while m:
         low = m & -m
-        t = delta[low.bit_length() - 1][letter]
+        t = col[low.bit_length() - 1]
         if t is None:
             return None
         out |= 1 << t
         m ^= low
     return out
+
+
+def apply_set(pfa: Pfa, s: int, letter: int) -> int | None:
+    """Image of a nonempty state subset under one letter.
+
+    Returns the image mask when the letter is defined on every member of
+    ``s`` and ``None`` otherwise.  An empty subset or an invalid letter
+    index is a usage error.
+    """
+    return run_word(pfa, s, (letter,)).final
 
 
 @dataclass(frozen=True)
@@ -176,10 +188,13 @@ def run_word(pfa: Pfa, s: int, word: Sequence[int]) -> RunResult:
     """Apply a word letter by letter from subset ``s``, keeping the trace."""
     if s == 0:
         raise ValueError("cannot run a word from the empty state set")
+    cols = letter_columns(pfa)
     trace = [s]
     cur = s
     for pos, letter in enumerate(word):
-        cur = apply_set(pfa, cur, letter)
+        if not 0 <= letter < len(cols):
+            raise ValueError(f"letter index {letter} out of range")
+        cur = image(cols[letter], cur)
         if cur is None:
             return RunResult(None, tuple(trace), undefined_at=pos)
         trace.append(cur)

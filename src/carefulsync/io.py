@@ -100,6 +100,11 @@ def automaton_from_json(text: str) -> Pfa:
     return pfa
 
 
+def _dot_quote(text: str) -> str:
+    """A DOT quoted string, with backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(pfa: Pfa) -> str:
     """Render the automaton as Graphviz DOT.
 
@@ -109,7 +114,7 @@ def export_dot(pfa: Pfa) -> str:
     """
     lines = ["digraph pfa {", "  rankdir=LR;", "  node [shape=circle];"]
     for q in range(pfa.n):
-        lines.append(f'  "{pfa.state_name(q)}";')
+        lines.append(f"  {_dot_quote(pfa.state_name(q))};")
     edges: dict[tuple[int, int], list[str]] = defaultdict(list)
     for q in range(pfa.n):
         for a, name in enumerate(pfa.letters):
@@ -117,7 +122,8 @@ def export_dot(pfa: Pfa) -> str:
             if t is not None:
                 edges[(q, t)].append(name)
     for (q, t) in sorted(edges):
-        label = ",".join(edges[(q, t)])
-        lines.append(f'  "{pfa.state_name(q)}" -> "{pfa.state_name(t)}" [label="{label}"];')
+        src, dst = _dot_quote(pfa.state_name(q)), _dot_quote(pfa.state_name(t))
+        label = _dot_quote(",".join(edges[(q, t)]))
+        lines.append(f"  {src} -> {dst} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

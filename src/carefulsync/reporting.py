@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -133,18 +132,10 @@ def _sweep_one(spec: FamilySpec, max_subsets: int) -> SweepRow:
 def sweep(
     specs: Sequence[FamilySpec],
     max_subsets: int = DEFAULT_MAX_SUBSETS,
-    workers: int = 1,
 ) -> list[SweepRow]:
-    """Solve every instance and report one row each, sorted by spec.
-
-    Rows are computed independently (concurrently when ``workers`` > 1) and
-    assembled in a stable order regardless of completion order.
-    """
+    """Solve every instance and report one row each, sorted by spec."""
     ordered = sorted(specs, key=FamilySpec.sort_key)
-    if workers <= 1:
-        return [_sweep_one(s, max_subsets) for s in ordered]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda s: _sweep_one(s, max_subsets), ordered))
+    return [_sweep_one(s, max_subsets) for s in ordered]
 
 
 def _agree_cell(flag: bool | None) -> str:

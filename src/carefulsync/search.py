@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .core import Pfa, apply_set, run_word
+from .core import Pfa, image, letter_columns, run_word
 
 DEFAULT_MAX_SUBSETS = 1 << 24
 
@@ -49,26 +49,6 @@ class SearchResult:
         return len(self.word)
 
 
-def _letter_columns(pfa: Pfa) -> list[tuple[int | None, ...]]:
-    return [
-        tuple(pfa.delta[q][a] for q in range(pfa.n))
-        for a in range(len(pfa.letters))
-    ]
-
-
-def _image(col: tuple[int | None, ...], s: int) -> int | None:
-    out = 0
-    m = s
-    while m:
-        low = m & -m
-        t = col[low.bit_length() - 1]
-        if t is None:
-            return None
-        out |= 1 << t
-        m ^= low
-    return out
-
-
 class _Visited:
     """Visited-subset table: flat byte table for small n, set above."""
 
@@ -89,6 +69,51 @@ class _Visited:
         return True
 
 
+def _bfs(
+    pfa: Pfa, start: int, goal: Callable[[int], bool], max_subsets: int
+) -> tuple[tuple[int, ...] | None, int | None, int]:
+    """Breadth-first search over the power automaton from ``start``.
+
+    Returns ``(word, final, visited)``: a shortest word leading from
+    ``start`` to the first discovered subset ``final`` with ``goal(final)``,
+    or ``(None, None, visited)`` once every reachable subset has been seen.
+    ``visited`` counts subsets discovered so far.  Letters are expanded in
+    ascending index order, so ``word`` is the lexicographically least among
+    the shortest.  Raises :class:`CapExceeded` once more than
+    ``max_subsets`` subsets have been discovered.
+    """
+    if start == 0:
+        raise ValueError("start set must be nonempty")
+    if goal(start):
+        return (), start, 1
+    cols = letter_columns(pfa)
+    add = _Visited(pfa.n).add  # bound once: it runs for every image below
+    add(start)
+    count = 1
+    parent: dict[int, tuple[int, int]] = {}
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        for a, col in enumerate(cols):
+            t = image(col, s)
+            if t is None or not add(t):
+                continue
+            count += 1
+            if count > max_subsets:
+                raise CapExceeded(count)
+            parent[t] = (s, a)
+            if goal(t):
+                word = []
+                cur = t
+                while cur != start:
+                    cur, letter = parent[cur]
+                    word.append(letter)
+                word.reverse()
+                return tuple(word), t, count
+            queue.append(t)
+    return None, None, count
+
+
 def shortest_careful_word(
     pfa: Pfa,
     start: int | None = None,
@@ -106,37 +131,10 @@ def shortest_careful_word(
     """
     if start is None:
         start = pfa.full_set()
-    if start == 0:
-        raise ValueError("start set must be nonempty")
-    cols = _letter_columns(pfa)
-    nletters = len(cols)
-    visited = _Visited(pfa.n)
-    visited.add(start)
-    count = 1
-    if start.bit_count() == 1:
-        return SearchResult((), count, start.bit_length() - 1)
-    parent: dict[int, tuple[int, int]] = {}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        for a in range(nletters):
-            t = _image(cols[a], s)
-            if t is None or not visited.add(t):
-                continue
-            count += 1
-            if count > max_subsets:
-                raise CapExceeded(count)
-            parent[t] = (s, a)
-            if t.bit_count() == 1:
-                word = []
-                cur = t
-                while cur != start:
-                    cur, letter = parent[cur]
-                    word.append(letter)
-                word.reverse()
-                return SearchResult(tuple(word), count, t.bit_length() - 1)
-            queue.append(t)
-    return None
+    word, final, visited = _bfs(pfa, start, lambda t: t.bit_count() == 1, max_subsets)
+    if word is None:
+        return None
+    return SearchResult(word, visited, final.bit_length() - 1)
 
 
 def reachable_subset_count(
@@ -147,24 +145,7 @@ def reachable_subset_count(
     """Number of subsets reachable from ``start`` in the power automaton."""
     if start is None:
         start = pfa.full_set()
-    if start == 0:
-        raise ValueError("start set must be nonempty")
-    cols = _letter_columns(pfa)
-    visited = _Visited(pfa.n)
-    visited.add(start)
-    count = 1
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        for col in cols:
-            t = _image(col, s)
-            if t is None or not visited.add(t):
-                continue
-            count += 1
-            if count > max_subsets:
-                raise CapExceeded(count)
-            queue.append(t)
-    return count
+    return _bfs(pfa, start, lambda t: False, max_subsets)[2]
 
 
 def subset_distance(
@@ -178,28 +159,10 @@ def subset_distance(
     Arrival means mask equality, not inclusion.  Returns ``None`` when
     ``dst`` is unreachable.
     """
-    if src == 0 or dst == 0:
-        raise ValueError("subsets must be nonempty")
-    if src == dst:
-        return 0
-    cols = _letter_columns(pfa)
-    visited = _Visited(pfa.n)
-    visited.add(src)
-    count = 1
-    queue = deque([(src, 0)])
-    while queue:
-        s, dist = queue.popleft()
-        for col in cols:
-            t = _image(col, s)
-            if t is None or not visited.add(t):
-                continue
-            count += 1
-            if count > max_subsets:
-                raise CapExceeded(count)
-            if t == dst:
-                return dist + 1
-            queue.append((t, dist + 1))
-    return None
+    if dst == 0:
+        raise ValueError("target set must be nonempty")
+    word = _bfs(pfa, src, lambda t: t == dst, max_subsets)[0]
+    return None if word is None else len(word)
 
 
 def brute_force_shortest(pfa: Pfa, max_len: int) -> tuple[int, ...] | None:
@@ -288,15 +251,15 @@ def forced_path_check(
         raise ValueError(
             f"word is not defined from the start set (undefined at {res.undefined_at})"
         )
+    cols = letter_columns(pfa)
     seen = set()
     steps = []
-    nletters = len(pfa.letters)
     for pos in range(len(word)):
         cur = res.trace[pos]
         seen.add(cur)
         new, undef, old = [], [], []
-        for a in range(nletters):
-            img = apply_set(pfa, cur, a)
+        for a, col in enumerate(cols):
+            img = image(col, cur)
             if img is None:
                 undef.append(a)
             elif img in seen:

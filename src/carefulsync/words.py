@@ -109,8 +109,11 @@ def cerny_alt_word(n: int, reps: int | None = None) -> tuple[int, ...]:
 def min_alt_reps(n: int, r_max: int) -> int | None:
     """Smallest tail count r <= r_max making the two-phase word reset the cyclic DFA.
 
-    Found by simulation; ``None`` when no r in range works.
+    Found by simulation; ``None`` when no r in range works, or when n < 3
+    and there is no two-phase word.
     """
+    if n < 3:
+        return None
     auto = gen_cerny(n)
     for r in range(r_max + 1):
         ok, _ = is_careful_sync_word(auto, cerny_alt_word(n, r))

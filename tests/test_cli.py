@@ -100,6 +100,20 @@ def test_words_cerny_override(capsys):
     assert "two-phase-verifies: no" in capsys.readouterr().out
 
 
+def test_words_cerny_two_states_has_no_two_phase_word(capsys):
+    assert main(["words", "--family", "cerny:n=2"]) == 0
+    out = capsys.readouterr().out
+    assert "classic-word: c1\n" in out
+    assert out.endswith("two-phase-minimal-r: none\n")
+
+
+def test_words_cerny_two_states_override_rejected(capsys):
+    assert main(["words", "--family", "cerny:n=2", "--r-override", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n must be at least 3" in captured.err
+
+
 def test_words_no_builder(capsys):
     assert main(["words", "--family", "witness"]) == 2
 
@@ -138,14 +152,6 @@ def test_sweep_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
-
-
-def test_sweep_workers(capsys):
-    args = ["sweep", "--family", "grid:d=2,k=2", "--family", "cerny:n=4"]
-    assert main(args) == 0
-    serial = capsys.readouterr().out
-    assert main(args + ["--workers", "2"]) == 0
-    assert capsys.readouterr().out == serial
 
 
 def test_export_dot(capsys):

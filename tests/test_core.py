@@ -133,6 +133,13 @@ def test_run_word_empty_start_rejected():
         run_word(gen_witness(), 0, (0,))
 
 
+def test_run_word_rejects_out_of_range_letters():
+    pfa = gen_witness()
+    for letter in (-1, len(pfa.letters)):
+        with pytest.raises(ValueError):
+            run_word(pfa, pfa.full_set(), (0, letter))
+
+
 def test_careful_word_length_ten():
     pfa = gen_witness()
     word = tuple("abc".index(ch) for ch in "a b c a b a b b c a".split())

@@ -98,6 +98,19 @@ def test_dot_deterministic():
     assert export_dot(gen_grid(3, 2)) == export_dot(gen_grid(3, 2))
 
 
+def test_dot_escapes_quotes_and_backslashes():
+    pfa = Pfa(('a"', "b\\"), ((1, 0), (1, None)), ('s"0', "s\\"))
+    lines = export_dot(pfa).splitlines()
+    assert lines[3:] == [
+        '  "s\\"0";',
+        '  "s\\\\";',
+        '  "s\\"0" -> "s\\"0" [label="b\\\\"];',
+        '  "s\\"0" -> "s\\\\" [label="a\\""];',
+        '  "s\\\\" -> "s\\\\" [label="a\\""];',
+        "}",
+    ]
+
+
 def test_dot_uses_state_names():
     dot = export_dot(gen_grid(2, 2))
     assert '"q0^1"' in dot

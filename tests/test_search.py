@@ -5,6 +5,7 @@ import pytest
 from carefulsync import (
     CapExceeded,
     Pfa,
+    bits_from_states,
     brute_force_shortest,
     cerny_word,
     digit_subset,
@@ -212,3 +213,41 @@ def test_not_sync_iff_no_singleton_reachable():
     pfa = Pfa(("a", "b"), ((1, 1), (0, 0)))
     assert shortest_careful_word(pfa) is None
     assert reachable_subset_count(pfa) == 1  # {0,1} only maps to itself
+
+
+def _naive_levels(pfa):
+    """BFS level of every subset reachable from the full set, by set arithmetic."""
+    full = frozenset(range(pfa.n))
+    levels = {full: 0}
+    frontier = [full]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for a in range(len(pfa.letters)):
+                targets = [pfa.delta[q][a] for q in s]
+                if None in targets:
+                    continue
+                t = frozenset(targets)
+                if t not in levels:
+                    levels[t] = levels[s] + 1
+                    nxt.append(t)
+        frontier = nxt
+    return levels
+
+
+def test_kernel_matches_naive_closure_on_small_random_pfas():
+    for n, letters, density, seed in itertools.product(
+        range(1, 5), range(1, 4), (0.6, 0.9, 1.0), range(8)
+    ):
+        pfa = gen_random(n, letters, density, seed)
+        levels = _naive_levels(pfa)
+        full = pfa.full_set()
+        assert reachable_subset_count(pfa) == len(levels)
+        for t, level in levels.items():
+            assert subset_distance(pfa, full, bits_from_states(t)) == level
+        singleton_levels = [lv for t, lv in levels.items() if len(t) == 1]
+        found = shortest_careful_word(pfa)
+        if singleton_levels:
+            assert found.length == min(singleton_levels)
+        else:
+            assert found is None
