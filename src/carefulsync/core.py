@@ -14,6 +14,7 @@ subset), which keeps subset images cheap inside power-automaton loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 from typing import Iterable, Sequence
 
 # A word is a tuple of letter indices; a state set is an int bitmask.
@@ -125,42 +126,47 @@ def format_state_set(pfa: Pfa, mask: int) -> str:
     return "{" + ",".join(pfa.state_name(q) for q in states_from_bits(mask)) + "}"
 
 
-def letter_columns(pfa: Pfa) -> list[tuple[int | None, ...]]:
-    """Transition table by letter: ``letter_columns(pfa)[a][q] == pfa.delta[q][a]``.
+def compile_letters(pfa: Pfa) -> list[list[tuple[int, ...]]]:
+    """Every letter's transitions as 8-bit chunk lookup tables.
 
-    Each column is read row by row, not with ``zip(*delta)``, so an
-    unvalidated ragged table raises IndexError instead of being truncated.
+    ``compile_letters(pfa)[j][c][a]`` is the image under letter ``a`` of the
+    states ``8j + i`` whose bit ``i`` is set in ``c``, or -1 (every bit set,
+    so it survives the OR of chunk images) when ``a`` is undefined on one of
+    them.  There are at least four chunks, so a kernel can unroll states
+    0..31.  A ragged table raises IndexError and a target outside the states
+    ValueError; nothing is truncated.
     """
-    return [
-        tuple(pfa.delta[q][a] for q in range(pfa.n))
-        for a in range(len(pfa.letters))
-    ]
+    n = pfa.n
+    width = range(len(pfa.letters))
+    tables = []
+    for lo in range(0, max(n, 32), 8):
+        tab = [(0,) * len(width)]
+        for q in range(lo, min(lo + 8, n)):
+            row = [pfa.delta[q][a] for a in width]
+            if any(t is not None and not 0 <= t < n for t in row):
+                raise ValueError(f"delta row {q} has a target outside {n} states")
+            bits = [-1 if t is None else 1 << t for t in row]
+            tab += [tuple(map(or_, img, bits)) for img in tab]
+        tables.append(tab)
+    return tables
 
 
-def image(col: tuple[int | None, ...], s: int) -> int | None:
-    """Image of the subset ``s`` under the letter whose column is ``col``.
+def image(tables: list[list[tuple[int, ...]]], letter: int, s: int) -> int | None:
+    """Image of the subset ``s`` under ``letter``, from :func:`compile_letters`.
 
     Returns ``None`` (the power automaton's "undefined" outcome) when the
     letter is undefined on some member of ``s``.
     """
     out = 0
-    m = s
-    while m:
-        low = m & -m
-        t = col[low.bit_length() - 1]
-        if t is None:
-            return None
-        out |= 1 << t
-        m ^= low
-    return out
+    for tab in tables:
+        out |= tab[s & 255][letter]
+        s >>= 8
+    return None if out < 0 else out
 
 
 def apply_set(pfa: Pfa, s: int, letter: int) -> int | None:
-    """Image of a nonempty state subset under one letter.
-
-    Returns the image mask when the letter is defined on every member of
-    ``s`` and ``None`` otherwise.  An empty subset or an invalid letter
-    index is a usage error.
+    """Image of a nonempty state subset under one letter, or ``None`` when
+    the letter is undefined on a member; a one-letter :func:`run_word`.
     """
     return run_word(pfa, s, (letter,)).final
 
@@ -186,15 +192,15 @@ class RunResult:
 
 def run_word(pfa: Pfa, s: int, word: Sequence[int]) -> RunResult:
     """Apply a word letter by letter from subset ``s``, keeping the trace."""
-    if s == 0:
-        raise ValueError("cannot run a word from the empty state set")
-    cols = letter_columns(pfa)
+    if not 0 < s < 1 << pfa.n:
+        raise ValueError(f"cannot run a word from {s:#x}: not a nonempty subset of the states")
+    tables = compile_letters(pfa)
     trace = [s]
     cur = s
     for pos, letter in enumerate(word):
-        if not 0 <= letter < len(cols):
+        if not 0 <= letter < len(pfa.letters):
             raise ValueError(f"letter index {letter} out of range")
-        cur = image(cols[letter], cur)
+        cur = image(tables, letter, cur)
         if cur is None:
             return RunResult(None, tuple(trace), undefined_at=pos)
         trace.append(cur)
@@ -222,8 +228,6 @@ def total_merging_letter(pfa: Pfa) -> int | None:
     n = pfa.n
     for a in range(len(pfa.letters)):
         targets = [pfa.delta[q][a] for q in range(n)]
-        if any(t is None for t in targets):
-            continue
-        if len(set(targets)) < n:
+        if None not in targets and len(set(targets)) < n:
             return a
     return None

@@ -10,16 +10,18 @@ small sizes.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from operator import or_
+from typing import AbstractSet, Sequence
 
-from .core import Pfa, image, letter_columns, run_word
+from .core import Pfa, compile_letters, image, run_word
 
 DEFAULT_MAX_SUBSETS = 1 << 24
 
-# Below this many states the visited table is a flat bytearray over all
-# 2^n subsets; above it, a hash set.
+# Up to this many states the visited table can be a flat bytearray over all
+# 2^n subsets; above it, it is a hash table.
 FLAT_TABLE_LIMIT = 24
 
 
@@ -49,68 +51,70 @@ class SearchResult:
         return len(self.word)
 
 
-class _Visited:
-    """Visited-subset table: flat byte table for small n, set above."""
-
-    def __init__(self, n: int):
-        self._flat = bytearray(1 << n) if n <= FLAT_TABLE_LIMIT else None
-        self._set: set[int] = set()
-
-    def add(self, s: int) -> bool:
-        """Mark s visited; True if it was new."""
-        if self._flat is not None:
-            if self._flat[s]:
-                return False
-            self._flat[s] = 1
-            return True
-        if s in self._set:
-            return False
-        self._set.add(s)
-        return True
-
-
 def _bfs(
-    pfa: Pfa, start: int, goal: Callable[[int], bool], max_subsets: int
+    pfa: Pfa, start: int | None, goals: AbstractSet[int], max_subsets: int
 ) -> tuple[tuple[int, ...] | None, int | None, int]:
-    """Breadth-first search over the power automaton from ``start``.
+    """Breadth-first search over the power automaton from ``start`` (default: all states).
 
     Returns ``(word, final, visited)``: a shortest word leading from
-    ``start`` to the first discovered subset ``final`` with ``goal(final)``,
-    or ``(None, None, visited)`` once every reachable subset has been seen.
+    ``start`` to the first discovered subset ``final`` in ``goals``, or
+    ``(None, None, visited)`` once every reachable subset has been seen.
     ``visited`` counts subsets discovered so far.  Letters are expanded in
     ascending index order, so ``word`` is the lexicographically least among
     the shortest.  Raises :class:`CapExceeded` once more than
     ``max_subsets`` subsets have been discovered.
     """
-    if start == 0:
-        raise ValueError("start set must be nonempty")
-    if goal(start):
+    n = pfa.n
+    start = pfa.full_set() if start is None else start
+    if not 0 < start < 1 << n:
+        raise ValueError(f"start set {start:#x} must be a nonempty subset of {n} states")
+    if start in goals:
         return (), start, 1
-    cols = letter_columns(pfa)
-    add = _Visited(pfa.n).add  # bound once: it runs for every image below
-    add(start)
+    tables = compile_letters(pfa)
+    t0, t1, t2, t3, *wide = tables
+    wide = [(tab, 8 * j) for j, tab in enumerate(wide, 4)]
+    # One byte per possible subset is used only while that is no more than a
+    # hash table filled to the budget takes, at about 64 bytes per entry.
+    # ``seen[t]`` reads and marks either table alike.
+    flat = n <= FLAT_TABLE_LIMIT and 1 << n <= 64 * max_subsets
+    seen = bytearray(1 << n) if flat else defaultdict(int)
+    seen[start] = 1
     count = 1
-    parent: dict[int, tuple[int, int]] = {}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        for a, col in enumerate(cols):
-            t = image(col, s)
-            if t is None or not add(t):
-                continue
-            count += 1
-            if count > max_subsets:
-                raise CapExceeded(count)
-            parent[t] = (s, a)
-            if goal(t):
-                word = []
-                cur = t
-                while cur != start:
-                    cur, letter = parent[cur]
-                    word.append(letter)
-                word.reverse()
-                return tuple(word), t, count
-            queue.append(t)
+    # Every discovered subset in BFS order and the index of its parent; the
+    # level being expanded is ``found[lo:hi]``.  Without goals no word is
+    # rebuilt, so each expanded level is dropped.
+    found, parent = [start], array("L", [0])
+    lo = 0
+    while lo < len(found):
+        hi = len(found)
+        for i in range(lo, hi):
+            s = found[i]
+            high = t3[s >> 24 & 255]
+            for tab, shift in wide:  # states 32 and up; empty when n <= 32
+                high = tuple(map(or_, high, tab[s >> shift & 255]))
+            for a, b, c, d in zip(t0[s & 255], t1[s >> 8 & 255], t2[s >> 16 & 255], high):
+                t = a | b | c | d
+                if t < 0 or seen[t]:
+                    continue
+                seen[t] = 1
+                count += 1
+                if count > max_subsets:
+                    raise CapExceeded(count)
+                found.append(t)
+                parent.append(i)
+                if t in goals:
+                    # Each subset was first reached from its parent by the
+                    # smallest letter mapping one to the other.
+                    word, j = [], len(found) - 1
+                    while j:
+                        s, t, j = found[parent[j]], found[j], parent[j]
+                        word.append(next(a for a in range(len(pfa.letters))
+                                         if image(tables, a, s) == t))
+                    return tuple(reversed(word)), found[-1], count
+        if not goals:
+            del found[:hi], parent[:hi]
+            hi = 0
+        lo = hi
     return None, None, count
 
 
@@ -129,9 +133,7 @@ def shortest_careful_word(
     Raises :class:`CapExceeded` once more than ``max_subsets`` subsets have
     been discovered.
     """
-    if start is None:
-        start = pfa.full_set()
-    word, final, visited = _bfs(pfa, start, lambda t: t.bit_count() == 1, max_subsets)
+    word, final, visited = _bfs(pfa, start, {1 << q for q in range(pfa.n)}, max_subsets)
     if word is None:
         return None
     return SearchResult(word, visited, final.bit_length() - 1)
@@ -143,9 +145,7 @@ def reachable_subset_count(
     max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> int:
     """Number of subsets reachable from ``start`` in the power automaton."""
-    if start is None:
-        start = pfa.full_set()
-    return _bfs(pfa, start, lambda t: False, max_subsets)[2]
+    return _bfs(pfa, start, set(), max_subsets)[2]
 
 
 def subset_distance(
@@ -161,7 +161,7 @@ def subset_distance(
     """
     if dst == 0:
         raise ValueError("target set must be nonempty")
-    word = _bfs(pfa, src, lambda t: t == dst, max_subsets)[0]
+    word = _bfs(pfa, src, {dst}, max_subsets)[0]
     return None if word is None else len(word)
 
 
@@ -244,29 +244,24 @@ def forced_path_check(
     The word must be defined along its whole application from ``start``
     (default: full set); otherwise a ValueError is raised.
     """
-    if start is None:
-        start = pfa.full_set()
-    res = run_word(pfa, start, word)
+    res = run_word(pfa, pfa.full_set() if start is None else start, word)
     if res.final is None:
         raise ValueError(
             f"word is not defined from the start set (undefined at {res.undefined_at})"
         )
-    cols = letter_columns(pfa)
+    tables = compile_letters(pfa)
     seen = set()
     steps = []
-    for pos in range(len(word)):
-        cur = res.trace[pos]
+    for pos, cur in enumerate(res.trace[:-1]):
         seen.add(cur)
         new, undef, old = [], [], []
-        for a, col in enumerate(cols):
-            img = image(col, cur)
+        for a in range(len(pfa.letters)):
+            img = image(tables, a, cur)
             if img is None:
                 undef.append(a)
             elif img in seen:
                 old.append(a)
             else:
                 new.append(a)
-        steps.append(
-            ForcedStep(pos, cur, tuple(new), tuple(undef), tuple(old))
-        )
+        steps.append(ForcedStep(pos, cur, tuple(new), tuple(undef), tuple(old)))
     return ForcedPathReport(tuple(steps))

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -18,11 +21,15 @@ from carefulsync import (
     grid_word,
     is_careful_sync_word,
     reachable_subset_count,
+    run_word,
+    search,
     shortest_careful_word,
+    states_from_bits,
     subset_distance,
     total_merging_letter,
     transform,
 )
+from carefulsync.core import compile_letters, image
 
 
 def test_witness_shortest_is_ten():
@@ -215,11 +222,17 @@ def test_not_sync_iff_no_singleton_reachable():
     assert reachable_subset_count(pfa) == 1  # {0,1} only maps to itself
 
 
-def _naive_levels(pfa):
-    """BFS level of every subset reachable from the full set, by set arithmetic."""
-    full = frozenset(range(pfa.n))
-    levels = {full: 0}
-    frontier = [full]
+def _naive_bfs(pfa):
+    """BFS level of every subset reachable from the full set, by set arithmetic.
+
+    Returns ``(levels, word)``: levels in discovery order, and the word to
+    the first singleton discovered (letters tried in ascending order), or
+    None.
+    """
+    first = frozenset(range(pfa.n))
+    levels = {first: 0}
+    parent = {}
+    frontier = [first]
     while frontier:
         nxt = []
         for s in frontier:
@@ -230,9 +243,17 @@ def _naive_levels(pfa):
                 t = frozenset(targets)
                 if t not in levels:
                     levels[t] = levels[s] + 1
+                    parent[t] = (s, a)
                     nxt.append(t)
         frontier = nxt
-    return levels
+    goal = next((t for t in levels if len(t) == 1), None)
+    if goal is None:
+        return levels, None
+    word = []
+    while goal != first:
+        goal, a = parent[goal]
+        word.append(a)
+    return levels, tuple(reversed(word))
 
 
 def test_kernel_matches_naive_closure_on_small_random_pfas():
@@ -240,14 +261,117 @@ def test_kernel_matches_naive_closure_on_small_random_pfas():
         range(1, 5), range(1, 4), (0.6, 0.9, 1.0), range(8)
     ):
         pfa = gen_random(n, letters, density, seed)
-        levels = _naive_levels(pfa)
+        levels, word = _naive_bfs(pfa)
         full = pfa.full_set()
         assert reachable_subset_count(pfa) == len(levels)
         for t, level in levels.items():
             assert subset_distance(pfa, full, bits_from_states(t)) == level
-        singleton_levels = [lv for t, lv in levels.items() if len(t) == 1]
         found = shortest_careful_word(pfa)
-        if singleton_levels:
-            assert found.length == min(singleton_levels)
-        else:
-            assert found is None
+        assert (found and found.word) == word
+
+
+def _with_boundary_holes(pfa):
+    """``pfa`` with letter 0 kept total and the other letters undefined on
+    states 7, 8, 31, 32 and the top state, on both sides of 8-bit chunk
+    boundaries."""
+    delta = [list(row) for row in pfa.delta]
+    for i, q in enumerate(sorted({7, 8, 31, 32, pfa.n - 1} & set(range(pfa.n)))):
+        delta[q][1 + i % (len(pfa.letters) - 1)] = None
+    return Pfa(pfa.letters, delta)
+
+
+def test_kernel_and_run_word_match_naive_images_across_chunks():
+    synchronizing = set()
+    for n, seed in itertools.product((7, 8, 9, 31, 32, 33, 40), range(10)):
+        pfa = _with_boundary_holes(gen_random(n, 3 if n < 10 else 2, 1.0, seed))
+        tables = compile_letters(pfa)
+        assert len(tables) == max(4, (n + 7) // 8)  # n = 33, 40: chunks beyond the unrolled four
+        levels, word = _naive_bfs(pfa)
+        assert reachable_subset_count(pfa) == len(levels)
+        for s in levels:
+            for a in range(len(pfa.letters)):
+                targets = [pfa.delta[q][a] for q in s]
+                expect = None if None in targets else bits_from_states(targets)
+                assert image(tables, a, bits_from_states(s)) == expect
+        found = shortest_careful_word(pfa)
+        assert (found and found.word) == word
+        if word is not None:
+            synchronizing.add(n)
+            trace = run_word(pfa, pfa.full_set(), word).trace
+            assert [levels[frozenset(states_from_bits(t))] for t in trace] == list(
+                range(len(word) + 1)
+            )
+    assert synchronizing == {7, 8, 9, 31, 32, 33, 40}
+
+
+def test_flat_and_hash_tables_agree(monkeypatch):
+    corpus = [
+        gen_random(n, l, p, seed)
+        for n, l, p, seed in itertools.product((2, 3, 4), (1, 2, 3), (0.5, 0.8), (0, 1, 2))
+    ] + [gen_cerny(10)]
+
+    def outcomes():
+        out = []
+        for pfa in corpus:
+            found = shortest_careful_word(pfa)
+            out.append((found, reachable_subset_count(pfa)))
+            # budgets of 16 and up keep cerny:n=10 on the flat table
+            for cap in (1, 3, 16, 100):
+                try:
+                    out.append(shortest_careful_word(pfa, max_subsets=cap))
+                except CapExceeded as e:
+                    out.append(("cap", e.visited))
+        return out
+
+    flat = outcomes()
+    monkeypatch.setattr(search, "FLAT_TABLE_LIMIT", 0)
+    assert outcomes() == flat
+
+
+def _relabel(pfa, seed):
+    perm = list(range(pfa.n))
+    random.Random(seed).shuffle(perm)
+    delta = [None] * pfa.n
+    for q, row in enumerate(pfa.delta):
+        delta[perm[q]] = tuple(None if t is None else perm[t] for t in row)
+    return Pfa(pfa.letters, delta)
+
+
+@pytest.mark.parametrize(
+    "pfa, digest, visited",
+    [
+        (gen_cerny(14), "085858fee69563a12a3a217e5886e586716a11d781ce7b5f37f0c2b4bf30ba87", 16370),
+        (_relabel(gen_grid(2, 10), 7),
+         "d44da882371c169c9014ba85f1c696c3854c2defe0f0eb21b49ef8ddb929bd59", 2046),
+    ],
+    ids=["cerny:n=14", "grid:d=2,k=10 renumbered"],
+)
+def test_kernel_golden_words(pfa, digest, visited):
+    # pins the lexicographic tie-break and the visited count
+    found = shortest_careful_word(pfa)
+    assert hashlib.sha256(bytes(found.word)).hexdigest() == digest
+    assert found.visited_subsets == visited
+
+
+def test_reachable_count_keeps_only_two_levels():
+    tracemalloc.start()
+    try:
+        reachable_subset_count(gen_cerny(14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+def test_budget_bounds_visited_table():
+    # 24 states fit the flat table, but a budget of 3 subsets must not pay
+    # for all 2^24 of them
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as err:
+            shortest_careful_word(gen_grid(2, 12), max_subsets=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.visited == 4
+    assert peak < 1 << 20
