@@ -67,7 +67,6 @@ from .transforms import (
     transform,
 )
 from .words import (
-    LengthReport,
     cerny_alt_word,
     cerny_word,
     counting_word,

@@ -21,11 +21,11 @@ from .reporting import check_battery, errata_report, sweep, sweep_csv
 from .search import CapExceeded, DEFAULT_MAX_SUBSETS, brute_force_shortest, shortest_careful_word
 from .transforms import lift_word, transform
 from .words import (
+    FAMILY_WORDS,
+    MAX_WORD_LEN,
     cerny_alt_word,
     cerny_word,
     format_word,
-    grid_word,
-    grid_word_claimed_length,
     min_alt_reps,
     parse_word,
 )
@@ -53,10 +53,16 @@ def _load_automaton(target: str, seed: int | None = None) -> tuple[Pfa, FamilySp
             except ValueError:
                 spec = None
         return pfa, spec
-    spec = parse_family(target)
+    spec = _parse_spec(target, seed)
+    return spec.build(), spec
+
+
+def _parse_spec(text: str, seed: int | None) -> FamilySpec:
+    """Parse a family spec; ``seed`` replaces a random family's seed."""
+    spec = parse_family(text)
     if seed is not None and spec.kind == "random":
         spec = replace(spec, seed=seed)
-    return spec.build(), spec
+    return spec
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -67,9 +73,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    spec = parse_family(args.family)
-    if args.seed is not None and spec.kind == "random":
-        spec = replace(spec, seed=args.seed)
+    spec = _parse_spec(args.family, args.seed)
     _emit(automaton_to_json(spec.build(), family=spec.to_string()), args.out)
     return EXIT_OK
 
@@ -124,17 +128,15 @@ def _cmd_check(args) -> int:
 
 def _cmd_words(args) -> int:
     spec = parse_family(args.family)
-    if spec.kind == "grid":
-        if spec.k < 2:
-            raise ValueError("grid word builder requires k >= 2")
-        pfa = spec.build()
-        word = grid_word(spec.d, spec.k)
-        print(f"word: {format_word(pfa.letters, word)}")
-        print(f"length: {len(word)}")
-        print(f"claimed-length: {grid_word_claimed_length(spec.d, spec.k)}")
-        return EXIT_OK
+    pfa = spec.build()
+    build_word, length, claimed = FAMILY_WORDS[spec.kind]
+    length = length and length(*spec.args)
+    if length is None:
+        raise ValueError(f"no word builder for family {spec.to_string()}")
+    if length > MAX_WORD_LEN:
+        raise ValueError(f"the builder word of {spec.to_string()} has {length} letters, "
+                         f"over the budget of {MAX_WORD_LEN}")
     if spec.kind == "cerny":
-        pfa = spec.build()
         classic = cerny_word(spec.n)
         # Build the override word first, so an invalid one prints nothing.
         alt = None if args.r_override is None else cerny_alt_word(spec.n, args.r_override)
@@ -152,23 +154,13 @@ def _cmd_words(args) -> int:
                 print(f"two-phase-word: {format_word(pfa.letters, alt)}")
                 print(f"two-phase-length: {len(alt)}")
         return EXIT_OK
-    if spec.kind == "chain":
-        pfa = spec.build()
-        word = tuple(range(len(pfa.letters) - 1, -1, -1))
-        print(f"word: {format_word(pfa.letters, word)}")
-        print(f"length: {len(word)}")
-        return EXIT_OK
-    if spec.kind == "padded":
-        k = spec.n // spec.d
-        if k < 2:
-            raise ValueError("padded word builder requires n // d >= 2")
-        pfa = spec.build()
-        inner = grid_word(spec.d, k)
-        word = (pfa.letter_index("p"),) + inner
-        print(f"word: {format_word(pfa.letters, word)}")
-        print(f"length: {len(word)}")
-        return EXIT_OK
-    raise ValueError(f"no word builder for family kind {spec.kind!r}")
+    word = build_word(*spec.args)
+    print(f"word: {format_word(pfa.letters, word)}")
+    print(f"length: {len(word)}")
+    claimed = claimed and claimed(*spec.args)
+    if claimed is not None:
+        print(f"claimed-length: {claimed}")
+    return EXIT_OK
 
 
 def _cmd_transform(args) -> int:
@@ -187,11 +179,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    specs = [parse_family(f) for f in args.family]
-    if args.seed is not None:
-        specs = [
-            replace(s, seed=args.seed) if s.kind == "random" else s for s in specs
-        ]
+    specs = [_parse_spec(f, args.seed) for f in args.family]
     rows = sweep(specs, max_subsets=args.max_subsets)
     _emit(sweep_csv(rows, include_timings=args.timings), args.out)
     return EXIT_OK

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from .core import Pfa
 
@@ -32,56 +33,52 @@ def gen_witness() -> Pfa:
     return Pfa(("a", "b", "c"), delta)
 
 
-def gen_grid(d: int, k: int) -> Pfa:
-    """Counter grid: k classes of d states each, with odometer letters.
+def expand(d: int, base: Pfa, c_letters: Sequence[str]) -> Pfa:
+    """Expand each of the k base states into a class of d digit-states.
 
-    Letter action, writing q_j^i for digit j of class i:
+    The result has ``d * k`` states in the canonical layout and the letters
+    ``a``, ``b1..bk``, then one c-letter per base letter, named by
+    ``c_letters``.  Writing q_j^i for digit j of class i:
 
     * ``a``    resets every class to digit 0 (the only total letter),
     * ``b_i``  increments class i's digit (undefined at the top digit),
       acts as identity on classes above i, and on classes below i is
       defined only at the top digit, which it resets to 0,
-    * ``c_i``  is defined only on top digits: it sends class i's top to
-      class i-1's digit 0 and the tops of classes below i to their own
-      digit 0.
+    * the c-letter of base letter ``x`` is defined only on top digits: it
+      sends class i's top to digit 0 of the class of ``x``'s target from
+      base state i, wherever that target is defined.
 
-    ``k = 1`` is permitted as a degenerate boundary case (no c-letters).
+    Callers validate the parameters.
+    """
+    k, top = base.n, d - 1
+    table = []
+    for i, base_row in enumerate(base.delta):
+        lo = i * d
+        for j in range(d):
+            table.append(
+                [lo]  # a
+                + [lo + j] * i  # b_1 .. b_i
+                + [lo + j + 1 if j < top else None]  # b_{i+1}
+                + [lo if j == top else None] * (k - 1 - i)  # b_{i+2} .. b_k
+                + [None if j < top or t is None else t * d for t in base_row]
+            )
+    letters = ("a",) + tuple(f"b{i}" for i in range(1, k + 1)) + tuple(c_letters)
+    names = tuple(f"q{j}^{i}" for i in range(1, k + 1) for j in range(d))
+    return Pfa(letters, table, names)
+
+
+def gen_grid(d: int, k: int) -> Pfa:
+    """Counter grid: the d-expansion (:func:`expand`) of the k-state chain.
+
+    The c-letters keep the chain's names ``c2..ck``.  ``k = 1`` is permitted
+    as a degenerate boundary case: one state with no letters, expanded.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = d * k
-    letters = ["a"] + [f"b{i}" for i in range(1, k + 1)] + [
-        f"c{i}" for i in range(2, k + 1)
-    ]
-    table: list[list[int | None]] = [[None] * len(letters) for _ in range(n)]
-    for i in range(1, k + 1):
-        base = (i - 1) * d
-        for j in range(d):
-            table[base + j][0] = base  # a
-    for l in range(1, k + 1):
-        col = l
-        for i in range(1, k + 1):
-            base = (i - 1) * d
-            if i == l:
-                for j in range(d - 1):
-                    table[base + j][col] = base + j + 1
-            elif i > l:
-                for j in range(d):
-                    table[base + j][col] = base + j
-            else:
-                table[base + d - 1][col] = base
-    for l in range(2, k + 1):
-        col = k + l - 1
-        for i in range(1, l + 1):
-            top = (i - 1) * d + d - 1
-            if i == l:
-                table[top][col] = (i - 2) * d
-            else:
-                table[top][col] = (i - 1) * d
-    names = tuple(f"q{j}^{i}" for i in range(1, k + 1) for j in range(d))
-    return Pfa(tuple(letters), table, names)
+    base = gen_chain(k) if k > 1 else Pfa((), ((),))
+    return expand(d, base, base.letters)
 
 
 def gen_cerny(n: int) -> Pfa:
@@ -133,18 +130,12 @@ def gen_padded(d: int, n: int) -> Pfa:
         raise ValueError("n must exceed d")
     if n % d == 0:
         raise ValueError("n must not be divisible by d")
-    k = n // d
-    core = gen_grid(d, k)
+    core = gen_grid(d, n // d)
     extras = n - core.n
-    letters = core.letters + ("p",)
-    table: list[list[int | None]] = []
-    for q in range(core.n):
-        table.append(list(core.delta[q]) + [q])
-    pad_target = (k - 1) * d
-    for _ in range(extras):
-        table.append([None] * len(core.letters) + [pad_target])
-    names = tuple(core.state_names) + tuple(f"x{j}" for j in range(extras))
-    return Pfa(letters, table, names)
+    table = [row + (q,) for q, row in enumerate(core.delta)]
+    table += [(None,) * len(core.letters) + (core.n - d,)] * extras  # p sends to q_0^k
+    names = core.state_names + tuple(f"x{j}" for j in range(extras))
+    return Pfa(core.letters + ("p",), table, names)
 
 
 def gen_random(n: int, letter_count: int, density: float, seed: int) -> Pfa:
@@ -181,19 +172,20 @@ def grid_fact_violations(pfa: Pfa, d: int, k: int) -> list[str]:
     Verifies, directly against the table: ``a`` is total; ``b_l`` is
     undefined on non-top digits of lower classes and at the top digit of
     its own class; every c-letter is undefined off top digits and on
-    classes above its own index.  Returns one message per violation.
+    classes above its own index.  Returns one message per violation, or
+    only a message naming both shapes when the table is not d*k states by
+    2k letters.
     """
-    bad: list[str] = []
-    a_col = 0
-    for q in range(pfa.n):
-        if pfa.delta[q][a_col] is None:
-            bad.append(f"letter a undefined at state {pfa.state_name(q)}")
+    if (pfa.n, len(pfa.letters)) != (d * k, 2 * k):
+        return [f"expected {d * k} states and {2 * k} letters, "
+                f"found {pfa.n} states and {len(pfa.letters)} letters"]
+    bad = [f"letter a undefined at state {pfa.state_name(q)}"
+           for q in range(pfa.n) if pfa.delta[q][0] is None]
     for l in range(1, k + 1):
-        col = l
         for i in range(1, k + 1):
             base = (i - 1) * d
             for j in range(d):
-                t = pfa.delta[base + j][col]
+                t = pfa.delta[base + j][l]
                 if i < l and j < d - 1 and t is not None:
                     bad.append(f"b{l} defined at q{j}^{i} (lower class, non-top digit)")
                 if i == l and j == d - 1 and t is not None:
@@ -209,6 +201,32 @@ def grid_fact_violations(pfa: Pfa, d: int, k: int) -> list[str]:
                 if i > l and t is not None:
                     bad.append(f"c{l} defined on class {i} above its index")
     return bad
+
+
+class _Kind(NamedTuple):
+    keys: tuple[str, ...]  # spec parameters, in generator-argument order
+    build: Callable[..., Pfa]
+    entries: Callable[..., int]  # states times letters, before the generator's checks
+
+
+# Generators are named inside lambdas, so a wrapped module function is the
+# one that runs.
+_KINDS = {
+    "witness": _Kind((), lambda: gen_witness(), lambda: 4 * 3),
+    "grid": _Kind(("d", "k"), lambda d, k: gen_grid(d, k), lambda d, k: d * k * 2 * k),
+    "cerny": _Kind(("n",), lambda n: gen_cerny(n), lambda n: n * 2),
+    "chain": _Kind(("k",), lambda k: gen_chain(k), lambda k: k * (k - 1)),
+    "padded": _Kind(("d", "n"), lambda d, n: gen_padded(d, n),
+                    lambda d, n: n * (2 * (n // max(d, 2)) + 1)),
+    "random": _Kind(("n", "l", "p", "seed"), lambda n, l, p, seed: gen_random(n, l, p, seed),
+                    lambda n, l, p, seed: n * l),
+}
+
+_FIELD_NAMES = {"l": "letter_count", "p": "density"}
+
+# Specs whose table would hold more entries than this are rejected when
+# parsed; building 2^25 entries takes seconds and about 1 GiB.
+MAX_TABLE_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -233,80 +251,33 @@ class FamilySpec:
     density: float | None = None
     seed: int | None = None
 
-    def to_string(self) -> str:
-        parts = []
-        for key, value in self._params():
-            parts.append(f"{key}={value}")
-        if not parts:
-            return self.kind
-        return self.kind + ":" + ",".join(parts)
+    @property
+    def args(self) -> tuple:
+        """The parameters in generator-argument order."""
+        return tuple(getattr(self, _FIELD_NAMES.get(key, key)) for key in _KINDS[self.kind].keys)
 
-    def _params(self) -> list[tuple[str, int | float]]:
-        if self.kind == "witness":
-            return []
-        if self.kind == "grid":
-            return [("d", self.d), ("k", self.k)]
-        if self.kind == "cerny":
-            return [("n", self.n)]
-        if self.kind == "chain":
-            return [("k", self.k)]
-        if self.kind == "padded":
-            return [("d", self.d), ("n", self.n)]
-        if self.kind == "random":
-            return [
-                ("n", self.n),
-                ("l", self.letter_count),
-                ("p", self.density),
-                ("seed", self.seed),
-            ]
-        raise ValueError(f"unknown family kind {self.kind!r}")
+    def to_string(self) -> str:
+        parts = ",".join(f"{key}={value}" for key, value in zip(_KINDS[self.kind].keys, self.args))
+        return f"{self.kind}:{parts}" if parts else self.kind
 
     def sort_key(self) -> tuple:
-        return (
-            self.kind,
-            self.d or 0,
-            self.k or 0,
-            self.n or 0,
-            self.letter_count or 0,
-            self.density or 0.0,
-            self.seed or 0,
-        )
+        return (self.kind, *self.args)
 
     def build(self) -> Pfa:
-        if self.kind == "witness":
-            return gen_witness()
-        if self.kind == "grid":
-            return gen_grid(self.d, self.k)
-        if self.kind == "cerny":
-            return gen_cerny(self.n)
-        if self.kind == "chain":
-            return gen_chain(self.k)
-        if self.kind == "padded":
-            return gen_padded(self.d, self.n)
-        if self.kind == "random":
-            return gen_random(self.n, self.letter_count, self.density, self.seed)
-        raise ValueError(f"unknown family kind {self.kind!r}")
-
-
-_SPEC_FIELDS = {
-    "witness": (),
-    "grid": ("d", "k"),
-    "cerny": ("n",),
-    "chain": ("k",),
-    "padded": ("d", "n"),
-    "random": ("n", "l", "p", "seed"),
-}
-
-_FIELD_NAMES = {"l": "letter_count", "p": "density"}
+        return _KINDS[self.kind].build(*self.args)
 
 
 def parse_family(text: str) -> FamilySpec:
-    """Parse the canonical family string form, e.g. ``grid:d=3,k=4``."""
+    """Parse the canonical family string form, e.g. ``grid:d=3,k=4``.
+
+    Raises ValueError for a malformed spec and for one whose table would
+    exceed :data:`MAX_TABLE_ENTRIES`.
+    """
     kind, sep, rest = text.strip().partition(":")
     kind = kind.strip()
-    if kind not in _SPEC_FIELDS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown family kind {kind!r}")
-    wanted = _SPEC_FIELDS[kind]
+    wanted = _KINDS[kind].keys
     given: dict[str, int | float] = {}
     if sep:
         for item in rest.split(","):
@@ -323,5 +294,9 @@ def parse_family(text: str) -> FamilySpec:
     missing = [key for key in wanted if key not in given]
     if missing:
         raise ValueError(f"family {kind!r} is missing parameters: {', '.join(missing)}")
-    fields = {_FIELD_NAMES.get(key, key): value for key, value in given.items()}
-    return FamilySpec(kind=kind, **fields)
+    spec = FamilySpec(kind, **{_FIELD_NAMES.get(key, key): value for key, value in given.items()})
+    entries = _KINDS[kind].entries(*spec.args)
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(f"family {spec.to_string()} has {entries} table entries "
+                         f"(states times letters), over the limit of {MAX_TABLE_ENTRIES}")
+    return spec

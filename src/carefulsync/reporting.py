@@ -32,6 +32,7 @@ from .search import (
 )
 from .transforms import is_class_preserving, kernel_partition, transform
 from .words import (
+    FAMILY_WORDS,
     cerny_alt_word,
     digit_subset,
     format_word,
@@ -85,47 +86,24 @@ class SweepRow:
         return self.claimed_length == self.bfs_length
 
 
-def _builder_lengths(spec: FamilySpec) -> tuple[int | None, int | None]:
-    """(constructed word length, published claimed length) for a family."""
-    if spec.kind == "grid" and spec.k >= 2:
-        return grid_word_length(spec.d, spec.k), grid_word_claimed_length(spec.d, spec.k)
-    if spec.kind == "cerny":
-        return (spec.n - 1) ** 2, (spec.n - 1) ** 2
-    if spec.kind == "witness":
-        return None, 10
-    if spec.kind == "chain":
-        return spec.k - 1, None
-    if spec.kind == "padded" and spec.n // spec.d >= 2:
-        return 1 + grid_word_length(spec.d, spec.n // spec.d), None
-    return None, None
-
-
-def _size_param(spec: FamilySpec) -> int | None:
-    return spec.k if spec.k is not None else spec.n
-
-
 def _sweep_one(spec: FamilySpec, max_subsets: int) -> SweepRow:
     pfa = spec.build()
-    builder, claimed = _builder_lengths(spec)
     start = time.perf_counter()
     try:
         found = shortest_careful_word(pfa, max_subsets=max_subsets)
+        status = "not-sync" if found is None else "ok"
     except CapExceeded as e:
-        elapsed = time.perf_counter() - start
-        return SweepRow(
-            spec.to_string(), spec.d, _size_param(spec), pfa.n,
-            "cap", None, builder, claimed, e.visited, elapsed,
-        )
+        found, status, visited = None, "cap", e.visited
     elapsed = time.perf_counter() - start
-    if found is None:
+    if found is not None:
+        visited = found.visited_subsets
+    elif status == "not-sync":
         visited = reachable_subset_count(pfa, max_subsets=max_subsets)
-        return SweepRow(
-            spec.to_string(), spec.d, _size_param(spec), pfa.n,
-            "not-sync", None, builder, claimed, visited, elapsed,
-        )
+    _, builder, claimed = FAMILY_WORDS[spec.kind]
     return SweepRow(
-        spec.to_string(), spec.d, _size_param(spec), pfa.n,
-        "ok", found.length, builder, claimed, found.visited_subsets, elapsed,
+        spec.to_string(), spec.d, spec.k if spec.k is not None else spec.n, pfa.n, status,
+        None if found is None else found.length, builder and builder(*spec.args),
+        claimed and claimed(*spec.args), visited, elapsed,
     )
 
 
@@ -195,8 +173,9 @@ def check_battery(
     Always checks table validity, the merging-letter precondition, and the
     kernel/preservation relations of every total letter.  When the instance
     is a counter grid, additionally checks the definedness pattern and the
-    forced path along the builder word.  When ``word`` is given, checks it
-    and reports its forced-path status.
+    forced path along the builder word; a table whose shape does not fit
+    the grid fails the pattern check and skips the word checks.  When
+    ``word`` is given, checks it and reports its forced-path status.
     """
     results = []
     diags = validate(pfa)
@@ -232,6 +211,7 @@ def check_battery(
             )
         )
     if spec is not None and spec.kind == "grid":
+        fits = (pfa.n, len(pfa.letters)) == (spec.d * spec.k, 2 * spec.k)
         violations = grid_fact_violations(pfa, spec.d, spec.k)
         results.append(
             CheckResult(
@@ -240,7 +220,7 @@ def check_battery(
                 "; ".join(violations) or "definedness pattern conforms",
             )
         )
-        if spec.k >= 2:
+        if fits and spec.k >= 2:
             w = grid_word(spec.d, spec.k)
             ok, state = is_careful_sync_word(pfa, w)
             if ok:

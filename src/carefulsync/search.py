@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import or_
 from typing import AbstractSet, Sequence
 
-from .core import Pfa, compile_letters, image, run_word
+from .core import Pfa, compile_letters, image
 
 DEFAULT_MAX_SUBSETS = 1 << 24
 
@@ -157,10 +157,10 @@ def subset_distance(
     """Length of the shortest power-automaton path from ``src`` to exactly ``dst``.
 
     Arrival means mask equality, not inclusion.  Returns ``None`` when
-    ``dst`` is unreachable.
+    ``dst`` is unreachable.  Both sets must be nonempty subsets of the states.
     """
-    if dst == 0:
-        raise ValueError("target set must be nonempty")
+    if not 0 < dst < 1 << pfa.n:
+        raise ValueError(f"target set {dst:#x} must be a nonempty subset of {pfa.n} states")
     word = _bfs(pfa, src, {dst}, max_subsets)[0]
     return None if word is None else len(word)
 
@@ -241,22 +241,24 @@ def forced_path_check(
 ) -> ForcedPathReport:
     """Classify every letter at every position of ``word``'s trace.
 
-    The word must be defined along its whole application from ``start``
-    (default: full set); otherwise a ValueError is raised.
+    The word must use letters of the alphabet only and be defined along its
+    whole application from ``start`` (default: full set, else a nonempty
+    subset of the states); otherwise a ValueError is raised.
     """
-    res = run_word(pfa, pfa.full_set() if start is None else start, word)
-    if res.final is None:
-        raise ValueError(
-            f"word is not defined from the start set (undefined at {res.undefined_at})"
-        )
+    cur = pfa.full_set() if start is None else start
+    if not 0 < cur < 1 << pfa.n:
+        raise ValueError(f"start set {cur:#x} must be a nonempty subset of {pfa.n} states")
     tables = compile_letters(pfa)
+    width = range(len(pfa.letters))
     seen = set()
     steps = []
-    for pos, cur in enumerate(res.trace[:-1]):
+    for pos, letter in enumerate(word):
+        if letter not in width:
+            raise ValueError(f"letter index {letter} out of range")
         seen.add(cur)
+        images = [image(tables, a, cur) for a in width]
         new, undef, old = [], [], []
-        for a in range(len(pfa.letters)):
-            img = image(tables, a, cur)
+        for a, img in enumerate(images):
             if img is None:
                 undef.append(a)
             elif img in seen:
@@ -264,4 +266,7 @@ def forced_path_check(
             else:
                 new.append(a)
         steps.append(ForcedStep(pos, cur, tuple(new), tuple(undef), tuple(old)))
+        cur = images[letter]
+        if cur is None:
+            raise ValueError(f"word is not defined from the start set (undefined at {pos})")
     return ForcedPathReport(tuple(steps))

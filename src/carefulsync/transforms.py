@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Pfa, bits_from_states, is_careful_sync_word, run_word, states_from_bits
-from .families import gen_cerny
-from .words import cerny_alt_word, cerny_word, counting_word, min_alt_reps
+from .families import expand, gen_cerny
+from .words import MAX_WORD_LEN, cerny_alt_word, cerny_word, counting_word, min_alt_reps
 
 
 @dataclass(frozen=True)
@@ -92,50 +92,15 @@ def transform(d: int, base: Pfa) -> TransformRecord:
 
     The result has ``d * k`` states under the canonical layout and alphabet
     ``a``, ``b1..bk``, then one c-letter per base letter (named ``c1..cs``
-    positionally).  Digit rules match the counter grid; the c-letter for
-    base letter ``b`` sends class i's top digit to digit 0 of the base
-    target's class wherever the base transition is defined.  Everything
-    else is undefined.
+    positionally), as built by :func:`carefulsync.families.expand`.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
-    k = base.n
-    s = len(base.letters)
+    k, s = base.n, len(base.letters)
     if k < 1 or s < 1:
         raise ValueError("base automaton needs at least one state and one letter")
-    n = d * k
-    letters = (
-        ["a"]
-        + [f"b{i}" for i in range(1, k + 1)]
-        + [f"c{l}" for l in range(1, s + 1)]
-    )
-    table: list[list[int | None]] = [[None] * len(letters) for _ in range(n)]
-    for i in range(1, k + 1):
-        base_idx = (i - 1) * d
-        for j in range(d):
-            table[base_idx + j][0] = base_idx  # a
-    for l in range(1, k + 1):
-        col = l
-        for i in range(1, k + 1):
-            base_idx = (i - 1) * d
-            if i == l:
-                for j in range(d - 1):
-                    table[base_idx + j][col] = base_idx + j + 1
-            elif i > l:
-                for j in range(d):
-                    table[base_idx + j][col] = base_idx + j
-            else:
-                table[base_idx + d - 1][col] = base_idx
-    for b in range(s):
-        col = k + 1 + b
-        for i in range(1, k + 1):
-            t = base.delta[i - 1][b]
-            if t is not None:
-                table[(i - 1) * d + d - 1][col] = t * d
-    names = tuple(f"q{j}^{i}" for i in range(1, k + 1) for j in range(d))
-    result = Pfa(tuple(letters), table, names)
-    letter_map = tuple(k + 1 + b for b in range(s))
-    return TransformRecord(base=base, d=d, result=result, letter_map=letter_map)
+    result = expand(d, base, [f"c{l}" for l in range(1, s + 1)])
+    return TransformRecord(base=base, d=d, result=result, letter_map=tuple(range(k + 1, k + 1 + s)))
 
 
 def lift_word(rec: TransformRecord, base_word: Sequence[int]) -> tuple[int, ...]:
@@ -181,7 +146,7 @@ class LiftedCernyMeasurement:
 
 
 def lifted_cerny_measurement(
-    d: int, n: int, r_max: int | None = None, max_word_len: int = 1_000_000
+    d: int, n: int, r_max: int | None = None, max_word_len: int = MAX_WORD_LEN
 ) -> LiftedCernyMeasurement:
     """Expand the n-state cyclic DFA by d and measure the lifted word.
 

@@ -9,11 +9,13 @@ emits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import is_careful_sync_word
 from .families import gen_cerny
+
+# The longest word a family's builder is asked for.
+MAX_WORD_LEN = 1_000_000
 
 
 def counting_word(d: int, indices: Iterable[int]) -> tuple[int, ...]:
@@ -122,6 +124,26 @@ def min_alt_reps(n: int, r_max: int) -> int | None:
     return None
 
 
+# Per family kind, three functions of the spec's generator arguments: the
+# builder word, its length and the published claimed length.  A function is
+# None, or returns None, where the family has no such word or claim.  The
+# lengths are closed forms, so neither builds the word.  Builders are named
+# inside lambdas, so a wrapped module function is the one that runs.
+FAMILY_WORDS = {
+    "witness": (None, None, lambda: 10),
+    "grid": (lambda d, k: grid_word(d, k),
+             lambda d, k: grid_word_length(d, k) if k >= 2 else None,
+             lambda d, k: grid_word_claimed_length(d, k) if k >= 2 else None),
+    "cerny": (lambda n: cerny_word(n), lambda n: (n - 1) ** 2, lambda n: (n - 1) ** 2),
+    "chain": (lambda k: tuple(range(k - 2, -1, -1)), lambda k: k - 1, None),
+    # ``p`` is the padded automaton's last letter, index 2(n // d).
+    "padded": (lambda d, n: (2 * (n // d),) + grid_word(d, n // d),
+               lambda d, n: 1 + grid_word_length(d, n // d) if n // d >= 2 else None,
+               None),
+    "random": (None, None, None),
+}
+
+
 def digit_subset(d: int, indices: Iterable[int], value: int) -> int:
     """State mask encoding ``value`` in base d across the given classes.
 
@@ -144,37 +166,6 @@ def digit_subset(d: int, indices: Iterable[int], value: int) -> int:
     if v:
         raise ValueError(f"value {value} does not fit in {len(idx)} base-{d} digits")
     return mask
-
-
-@dataclass(frozen=True)
-class LengthReport:
-    """Constructed, claimed, and searched lengths for one word family instance.
-
-    Agreement flags are computed on access so they can never go stale; each
-    is ``None`` when one side is missing.
-    """
-
-    builder_length: int
-    claimed_length: int | None = None
-    bfs_length: int | None = None
-
-    @property
-    def builder_matches_claimed(self) -> bool | None:
-        if self.claimed_length is None:
-            return None
-        return self.builder_length == self.claimed_length
-
-    @property
-    def builder_matches_bfs(self) -> bool | None:
-        if self.bfs_length is None:
-            return None
-        return self.builder_length == self.bfs_length
-
-    @property
-    def claimed_matches_bfs(self) -> bool | None:
-        if self.claimed_length is None or self.bfs_length is None:
-            return None
-        return self.claimed_length == self.bfs_length
 
 
 def format_word(letters: Sequence[str], word: Sequence[int]) -> str:

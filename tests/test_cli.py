@@ -1,6 +1,8 @@
 import json
 
 from carefulsync.cli import main
+from carefulsync.families import gen_witness
+from carefulsync.io import automaton_to_json
 
 
 def test_gen_to_stdout(capsys):
@@ -79,6 +81,31 @@ def test_check_grid(capsys):
 
 def test_check_failure_exit_code(capsys):
     assert main(["check", "random:n=2,l=1,p=0.0,seed=0"]) == 1
+
+
+def test_check_grid_metadata_on_a_misfit_table(tmp_path, capsys):
+    path = tmp_path / "witness.json"
+    path.write_text(automaton_to_json(gen_witness(), family="grid:d=3,k=4"))
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert ("grid-pattern: FAIL (expected 12 states and 8 letters, "
+            "found 4 states and 3 letters)") in out
+    assert "grid-word" not in out
+
+
+def test_gen_rejects_oversized_family(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    assert main(["gen", "--family", "random:n=1025,l=1024,p=0.5,seed=1", "--out", str(path)]) == 2
+    assert "table entries" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_words_over_the_word_budget(capsys):
+    # 1 + 2^2 + ... + 2^20 = 2,097,149 letters
+    assert main(["words", "--family", "grid:d=2,k=20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2097149 letters" in captured.err
 
 
 def test_words_grid(capsys):

@@ -228,3 +228,12 @@ def test_family_spec_sort_key_orders_numerically():
     specs = [parse_family(f"grid:d=2,k={k}") for k in (10, 2, 3)]
     ordered = sorted(specs, key=FamilySpec.sort_key)
     assert [s.k for s in ordered] == [2, 3, 10]
+
+
+def test_family_spec_rejects_oversized_tables():
+    with pytest.raises(ValueError, match="table entries"):
+        parse_family("grid:d=100000,k=100")
+    limit = 1 << 20
+    assert parse_family("random:n=1024,l=1024,p=0.5,seed=1").n == 1024  # exactly the limit
+    with pytest.raises(ValueError, match=str(limit)):
+        parse_family("random:n=1025,l=1024,p=0.5,seed=1")

@@ -180,6 +180,13 @@ def test_subset_distance_exact_arrival_only():
     assert subset_distance(pfa, 0b10, 0b11) is None
 
 
+def test_subset_distance_rejects_targets_beyond_the_states():
+    g = gen_grid(2, 2)
+    for dst in (0, 1 << g.n, g.full_set() | 1 << g.n, -1):
+        with pytest.raises(ValueError, match="target set"):
+            subset_distance(g, g.full_set(), dst)
+
+
 def test_forced_path_on_grid_words():
     for d, k in ((2, 2), (3, 2), (2, 3)):
         g = gen_grid(d, k)
@@ -201,6 +208,17 @@ def test_forced_path_requires_defined_word():
     word = tuple("abc".index(ch) for ch in "a b c a a a b b c a".split())
     with pytest.raises(ValueError):
         forced_path_check(pfa, word)
+
+
+def test_forced_path_rejects_out_of_range_letters_and_starts():
+    g = gen_grid(2, 2)
+    word = grid_word(2, 2)
+    for bad in (-1, len(g.letters)):
+        with pytest.raises(ValueError, match="out of range"):
+            forced_path_check(g, word[:2] + (bad,) + word[2:])
+    for start in (0, 1 << g.n):
+        with pytest.raises(ValueError, match="start set"):
+            forced_path_check(g, word, start)
 
 
 def test_forced_path_records_positions():

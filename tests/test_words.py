@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from carefulsync import (
-    LengthReport,
+    SweepRow,
     bits_from_states,
     cerny_alt_word,
     cerny_word,
@@ -162,13 +162,12 @@ def test_odometer_trace_sparse_classes():
 
 
 def test_length_report_flags():
-    r = LengthReport(builder_length=10, claimed_length=11, bfs_length=10)
-    assert r.builder_matches_bfs is True
-    assert r.builder_matches_claimed is False
-    assert r.claimed_matches_bfs is False
-    partial = LengthReport(builder_length=5)
-    assert partial.builder_matches_claimed is None
-    assert partial.claimed_matches_bfs is None
+    row = SweepRow("grid:d=2,k=3", 2, 3, 6, "ok", 10, 10, 11, 100, 0.0)
+    assert row.agree_builder_bfs is True
+    assert row.agree_claimed_bfs is False
+    partial = SweepRow("chain:k=6", None, 6, 6, "cap", None, 5, None, 100, 0.0)
+    assert partial.agree_builder_bfs is None
+    assert partial.agree_claimed_bfs is None
 
 
 def test_word_text_round_trip():
