@@ -8,11 +8,13 @@ and the published length claim are all shown below.
 """
 
 from carefulsync import (
+    cerny_word,
     counting_word,
     digit_subset,
     forced_path_check,
     format_state_set,
     format_word,
+    gen_cerny,
     gen_grid,
     grid_word,
     grid_word_claimed_length,
@@ -40,15 +42,15 @@ found = shortest_careful_word(auto)
 print(f"  exact shortest length: {found.length}")
 print(f"  published closed form says: {grid_word_claimed_length(d, k)} (overcounts by k-1)")
 
-print("\nminimality certificate: at every step exactly one letter leads anywhere new")
-report = forced_path_check(auto, w)
-print(f"  forced path: {report.passed}")
-for step in report.steps[:4]:
-    print(
-        f"  step {step.position}: new={[auto.letters[a] for a in step.new_letters]}"
-        f" undefined={[auto.letters[a] for a in step.undefined_letters]}"
-        f" seen={[auto.letters[a] for a in step.visited_letters]}"
-    )
+print("\nminimality certificate: at every step the word's letter alone leads anywhere new")
+print(f"  builder word's path is forced: {forced_path_check(auto, w) is None}")
+cerny = gen_cerny(4)
+step = forced_path_check(cerny, cerny_word(4))
+print(f"  classic cerny:n=4 word first branches at step {step.position},"
+      f" from {format_state_set(cerny, step.subset)}:"
+      f" new={[cerny.letters[a] for a in step.new_letters]}"
+      f" undefined={[cerny.letters[a] for a in step.undefined_letters]}"
+      f" seen={[cerny.letters[a] for a in step.visited_letters]}")
 
 print("\ngrowth across k (d=2):")
 for kk in range(2, 7):

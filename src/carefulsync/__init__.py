@@ -47,7 +47,6 @@ from .reporting import (
 )
 from .search import (
     CapExceeded,
-    ForcedPathReport,
     ForcedStep,
     SearchResult,
     brute_force_shortest,

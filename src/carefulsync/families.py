@@ -167,40 +167,24 @@ def gen_random(n: int, letter_count: int, density: float, seed: int) -> Pfa:
 
 
 def grid_fact_violations(pfa: Pfa, d: int, k: int) -> list[str]:
-    """Check the definedness pattern a counter grid must satisfy.
+    """Check a table against the definedness pattern of :func:`gen_grid`.
 
-    Verifies, directly against the table: ``a`` is total; ``b_l`` is
-    undefined on non-top digits of lower classes and at the top digit of
-    its own class; every c-letter is undefined off top digits and on
-    classes above its own index.  Returns one message per violation, or
-    only a message naming both shapes when the table is not d*k states by
-    2k letters.
+    ``a`` must be defined everywhere, and no letter may be defined where
+    the grid leaves it undefined.  Returns one message per violating entry,
+    named after the grid's states, or a single message when the table is
+    not d*k states by 2k letters or the generator rejects d and k.
     """
     if (pfa.n, len(pfa.letters)) != (d * k, 2 * k):
         return [f"expected {d * k} states and {2 * k} letters, "
                 f"found {pfa.n} states and {len(pfa.letters)} letters"]
-    bad = [f"letter a undefined at state {pfa.state_name(q)}"
-           for q in range(pfa.n) if pfa.delta[q][0] is None]
-    for l in range(1, k + 1):
-        for i in range(1, k + 1):
-            base = (i - 1) * d
-            for j in range(d):
-                t = pfa.delta[base + j][l]
-                if i < l and j < d - 1 and t is not None:
-                    bad.append(f"b{l} defined at q{j}^{i} (lower class, non-top digit)")
-                if i == l and j == d - 1 and t is not None:
-                    bad.append(f"b{l} defined at its own top digit q{j}^{i}")
-    for l in range(2, k + 1):
-        col = k + l - 1
-        for i in range(1, k + 1):
-            base = (i - 1) * d
-            for j in range(d):
-                t = pfa.delta[base + j][col]
-                if j < d - 1 and t is not None:
-                    bad.append(f"c{l} defined at non-top digit q{j}^{i}")
-                if i > l and t is not None:
-                    bad.append(f"c{l} defined on class {i} above its index")
-    return bad
+    try:
+        grid = gen_grid(d, k)
+    except ValueError as e:
+        return [str(e)]
+    return [f"{name} {'defined' if want is None else 'undefined'} at {grid.state_name(q)}"
+            for q, (row, grid_row) in enumerate(zip(pfa.delta, grid.delta))
+            for name, t, want in zip(grid.letters, row, grid_row)
+            if (t is None) != (want is None) and (want is None or name == "a")]
 
 
 class _Kind(NamedTuple):

@@ -174,8 +174,9 @@ def check_battery(
     kernel/preservation relations of every total letter.  When the instance
     is a counter grid, additionally checks the definedness pattern and the
     forced path along the builder word; a table whose shape does not fit
-    the grid fails the pattern check and skips the word checks.  When
-    ``word`` is given, checks it and reports its forced-path status.
+    the grid, or metadata the grid generator rejects, fails the pattern
+    check and skips the word checks.  When ``word`` is given, checks it and
+    reports its forced-path status.
     """
     results = []
     diags = validate(pfa)
@@ -220,7 +221,7 @@ def check_battery(
                 "; ".join(violations) or "definedness pattern conforms",
             )
         )
-        if fits and spec.k >= 2:
+        if fits and min(spec.d, spec.k) >= 2:  # the builder word's domain
             w = grid_word(spec.d, spec.k)
             ok, state = is_careful_sync_word(pfa, w)
             if ok:
@@ -229,33 +230,20 @@ def check_battery(
                 detail = "builder word fails"
             results.append(CheckResult("grid-word", ok, detail))
             if ok:
-                report = forced_path_check(pfa, w)
-                results.append(
-                    CheckResult(
-                        "forced-path",
-                        report.passed,
-                        "exactly one new subset at every step"
-                        if report.passed
-                        else "some step has several undiscovered continuations",
-                    )
-                )
+                step = forced_path_check(pfa, w)
+                detail = ("exactly one new subset at every step" if step is None
+                          else f"step {step.position} is not forced")
+                results.append(CheckResult("forced-path", step is None, detail))
     if word is not None:
         ok, state = is_careful_sync_word(pfa, word)
-        detail = (
-            f"synchronizes to {pfa.state_name(state)}"
-            if ok
-            else "does not carefully synchronize"
-        )
+        detail = (f"synchronizes to {pfa.state_name(state)}" if ok
+                  else "does not carefully synchronize")
         results.append(CheckResult("word-verifies", ok, detail))
         if ok:
-            report = forced_path_check(pfa, word)
-            results.append(
-                CheckResult(
-                    "word-forced-path",
-                    report.passed,
-                    "path is forced" if report.passed else "path is not forced",
-                )
-            )
+            step = forced_path_check(pfa, word)
+            detail = ("path is forced" if step is None
+                      else f"path is not forced at step {step.position}")
+            results.append(CheckResult("word-forced-path", step is None, detail))
     return results
 
 

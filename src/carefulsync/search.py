@@ -219,27 +219,16 @@ class ForcedStep:
     visited_letters: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ForcedPathReport:
-    """Step-by-step record of how constrained a word's path is.
-
-    The path is *forced* when at every position exactly one letter leads to
-    a subset not seen earlier on the path; all other letters are undefined
-    or lead back to already-visited subsets.  A forced path from the full
-    set to a singleton is a machine-checkable minimality certificate.
-    """
-
-    steps: tuple[ForcedStep, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(len(step.new_letters) == 1 for step in self.steps)
-
-
 def forced_path_check(
     pfa: Pfa, word: Sequence[int], start: int | None = None
-) -> ForcedPathReport:
-    """Classify every letter at every position of ``word``'s trace.
+) -> ForcedStep | None:
+    """The first step of ``word``'s path from ``start`` that is not forced.
+
+    A step is *forced* when the word's own letter is the only letter that
+    leads to a subset not yet on the path; every other letter is undefined
+    or leads back to a subset already seen.  Returns ``None`` when every
+    step is forced: a forced path from the full set to a singleton is a
+    machine-checkable minimality certificate.
 
     The word must use letters of the alphabet only and be defined along its
     whole application from ``start`` (default: full set, else a nonempty
@@ -250,23 +239,21 @@ def forced_path_check(
         raise ValueError(f"start set {cur:#x} must be a nonempty subset of {pfa.n} states")
     tables = compile_letters(pfa)
     width = range(len(pfa.letters))
-    seen = set()
-    steps = []
+    trace = [cur]
     for pos, letter in enumerate(word):
         if letter not in width:
             raise ValueError(f"letter index {letter} out of range")
-        seen.add(cur)
-        images = [image(tables, a, cur) for a in width]
-        new, undef, old = [], [], []
-        for a, img in enumerate(images):
-            if img is None:
-                undef.append(a)
-            elif img in seen:
-                old.append(a)
-            else:
-                new.append(a)
-        steps.append(ForcedStep(pos, cur, tuple(new), tuple(undef), tuple(old)))
-        cur = images[letter]
+        cur = image(tables, letter, cur)
         if cur is None:
             raise ValueError(f"word is not defined from the start set (undefined at {pos})")
-    return ForcedPathReport(tuple(steps))
+        trace.append(cur)
+    seen = set()
+    for pos, (s, letter) in enumerate(zip(trace, word)):
+        seen.add(s)
+        images = [image(tables, a, s) for a in width]
+        new = [a for a, t in enumerate(images) if t is not None and t not in seen]
+        if new != [letter]:
+            return ForcedStep(pos, s, tuple(new),
+                              tuple(a for a, t in enumerate(images) if t is None),
+                              tuple(a for a, t in enumerate(images) if t in seen))
+    return None

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import is_careful_sync_word
+from .core import compile_letters, image
 from .families import gen_cerny
 
-# The longest word a family's builder is asked for.
+# The longest word a family's builder is asked for, and the longest word
+# :func:`parse_word` accepts.
 MAX_WORD_LEN = 1_000_000
 
 
@@ -111,16 +112,22 @@ def cerny_alt_word(n: int, reps: int | None = None) -> tuple[int, ...]:
 def min_alt_reps(n: int, r_max: int) -> int | None:
     """Smallest tail count r <= r_max making the two-phase word reset the cyclic DFA.
 
-    Found by simulation; ``None`` when no r in range works, or when n < 3
+    Found in one walk: the head once, then for each r the final ``c1`` and
+    one more tail block.  ``None`` when no r in range works, or when n < 3
     and there is no two-phase word.
     """
     if n < 3:
         return None
-    auto = gen_cerny(n)
+    tables = compile_letters(gen_cerny(n))
+    word = cerny_alt_word(n, 1)
+    s = (1 << n) - 1
+    for a in word[:-n - 1]:  # the head
+        s = image(tables, a, s)
     for r in range(r_max + 1):
-        ok, _ = is_careful_sync_word(auto, cerny_alt_word(n, r))
-        if ok:
+        if image(tables, 0, s).bit_count() == 1:  # the final c1; the table is total
             return r
+        for a in word[-n - 1:-1]:  # one more tail block
+            s = image(tables, a, s)
     return None
 
 
@@ -176,8 +183,8 @@ def format_word(letters: Sequence[str], word: Sequence[int]) -> str:
 def parse_word(letters: Sequence[str], text: str) -> tuple[int, ...]:
     """Parse space-separated letter names, each optionally with a ^N exponent.
 
-    ``"c1 c2^3"`` expands to c1 c2 c2 c2.  Unknown names and malformed
-    exponents raise ValueError.
+    ``"c1 c2^3"`` expands to c1 c2 c2 c2.  Unknown names, malformed
+    exponents and words longer than :data:`MAX_WORD_LEN` raise ValueError.
     """
     index = {name: a for a, name in enumerate(letters)}
     out: list[int] = []
@@ -193,5 +200,7 @@ def parse_word(letters: Sequence[str], text: str) -> tuple[int, ...]:
                 raise ValueError(f"bad exponent in {token!r}") from None
             if count < 0:
                 raise ValueError(f"negative exponent in {token!r}")
+        if len(out) + count > MAX_WORD_LEN:
+            raise ValueError(f"word has more than {MAX_WORD_LEN} letters")
         out.extend([index[name]] * count)
     return tuple(out)

@@ -91,7 +91,7 @@ def test_c04_grid_minimality_arbitration():
             failures.append(
                 f"search {None if bfs is None else bfs.length} != builder {built} at d={d}, k={k}"
             )
-        if not forced_path_check(auto, word).passed:
+        if forced_path_check(auto, word) is not None:
             failures.append(f"path not forced at d={d}, k={k}")
         # recorded erratum: published closed form overshoots by exactly k-1
         if grid_word_claimed_length(d, k) - built != k - 1:

@@ -93,6 +93,36 @@ def test_check_grid_metadata_on_a_misfit_table(tmp_path, capsys):
     assert "grid-word" not in out
 
 
+def test_check_grid_metadata_the_generator_rejects(tmp_path, capsys):
+    path = tmp_path / "witness.json"
+    path.write_text(automaton_to_json(gen_witness(), family="grid:d=1,k=4"))
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert ("grid-pattern: FAIL (expected 4 states and 8 letters, "
+            "found 4 states and 3 letters)") in out
+    assert "grid-word" not in out
+
+
+def test_check_word_that_loops_is_not_forced(capsys):
+    # synchronizes in 6 letters, where the shortest word has 5
+    assert main(["check", "grid:d=2,k=2", "--word", "a a b1 b2 b1 c2"]) == 1
+    out = capsys.readouterr().out
+    assert "word-verifies: PASS (synchronizes to q0^1)" in out
+    assert "word-forced-path: FAIL (path is not forced at step 1)" in out
+    assert main(["check", "grid:d=2,k=2", "--word", "a b1 b2 b1 c2"]) == 0
+    assert "word-forced-path: PASS (path is forced)" in capsys.readouterr().out
+
+
+def test_word_input_over_the_word_budget(capsys):
+    for word in ("c1^1000001", "c1^600000 c1^600000"):
+        for argv in (["verify", "cerny:n=4"], ["check", "cerny:n=4"],
+                     ["transform", "cerny:n=4", "--d", "2"]):
+            assert main(argv + ["--word", word]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "more than 1000000 letters" in captured.err
+
+
 def test_gen_rejects_oversized_family(tmp_path, capsys):
     path = tmp_path / "big.json"
     assert main(["gen", "--family", "random:n=1025,l=1024,p=0.5,seed=1", "--out", str(path)]) == 2

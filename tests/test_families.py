@@ -4,6 +4,7 @@ import pytest
 
 from carefulsync import (
     FamilySpec,
+    Pfa,
     gen_cerny,
     gen_chain,
     gen_grid,
@@ -75,26 +76,47 @@ def test_grid_param_validation():
         gen_grid(2, 0)
 
 
+def _rule_defined(d, k, q, col):
+    """Definedness of grid entry (q, col), re-derived from the rules."""
+    i, j = divmod(q, d)
+    i += 1
+    if col == 0:
+        return True
+    if col <= k:  # b_l
+        l = col
+        if i == l:
+            return j < d - 1
+        return i > l or j == d - 1
+    l = col - k + 1  # c_l
+    return j == d - 1 and i <= l
+
+
 def test_grid_undefined_pattern_exhaustive():
     # re-derive the expected definedness of every entry from the rules
     for d, k in itertools.product(range(2, 5), range(1, 5)):
         g = gen_grid(d, k)
         assert grid_fact_violations(g, d, k) == []
-        for i in range(1, k + 1):
-            for j in range(d):
-                q = (i - 1) * d + j
-                assert g.delta[q][0] is not None
-                for l in range(1, k + 1):
-                    defined = g.delta[q][l] is not None
-                    if i == l:
-                        assert defined == (j < d - 1)
-                    elif i > l:
-                        assert defined
-                    else:
-                        assert defined == (j == d - 1)
-                for l in range(2, k + 1):
-                    defined = g.delta[q][k + l - 1] is not None
-                    assert defined == (j == d - 1 and i <= l)
+        for q in range(g.n):
+            for col in range(2 * k):
+                assert (g.delta[q][col] is not None) == _rule_defined(d, k, q, col)
+
+
+def test_grid_pattern_flags_each_forbidden_flip():
+    # The rules forbid `a` undefined anywhere and any letter defined where
+    # they leave it undefined; removing any other transition is allowed.
+    for d, k in itertools.product(range(2, 5), range(1, 6)):
+        g = gen_grid(d, k)
+        for q, col in itertools.product(range(g.n), range(2 * k)):
+            rows = [list(row) for row in g.delta]
+            rows[q][col] = q if rows[q][col] is None else None
+            got = grid_fact_violations(Pfa(g.letters, rows), d, k)
+            forbidden = col == 0 or not _rule_defined(d, k, q, col)
+            assert len(got) == forbidden, (d, k, q, col, got)
+    g = gen_grid(3, 2)
+    rows = [list(row) for row in g.delta]
+    rows[0][2], rows[4][0] = 0, None
+    assert grid_fact_violations(Pfa(g.letters, rows), 3, 2) == [
+        "b2 defined at q0^1", "a undefined at q1^2"]
 
 
 def test_only_a_is_total_in_grid():

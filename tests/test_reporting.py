@@ -1,6 +1,8 @@
 from carefulsync import (
+    FamilySpec,
     check_battery,
     errata_report,
+    gen_grid,
     gen_witness,
     parse_family,
     parse_word,
@@ -118,3 +120,26 @@ def test_check_battery_with_word():
     results = check_battery(pfa, word=word)
     verdict = next(r for r in results if r.name == "word-verifies")
     assert verdict.passed
+
+
+def test_check_battery_names_the_first_unforced_step():
+    # b2 defined at q0^1 gives step 1 a second way to somewhere new
+    g = gen_grid(2, 2)
+    rows = [list(row) for row in g.delta]
+    rows[0][2] = 0
+    battery = check_battery(Pfa(g.letters, rows), spec=parse_family("grid:d=2,k=2"))
+    results = {r.name: r for r in battery}
+    assert results["grid-pattern"].detail == "b2 defined at q0^1"
+    assert results["grid-word"].passed
+    assert not results["forced-path"].passed
+    assert results["forced-path"].detail == "step 1 is not forced"
+
+
+def test_check_battery_on_grid_metadata_the_generator_rejects():
+    # 4 states and 8 letters fit d=1, k=4, but the grid needs d >= 2
+    table = Pfa(("a", "b1", "b2", "b3", "b4", "c2", "c3", "c4"), [[0] * 8] * 4)
+    results = check_battery(table, spec=FamilySpec("grid", d=1, k=4))
+    pattern = next(r for r in results if r.name == "grid-pattern")
+    assert not pattern.passed
+    assert pattern.detail == "d must be at least 2"
+    assert not {"grid-word", "forced-path"} & {r.name for r in results}

@@ -7,6 +7,7 @@ import pytest
 
 from carefulsync import (
     CapExceeded,
+    ForcedStep,
     Pfa,
     bits_from_states,
     brute_force_shortest,
@@ -189,18 +190,14 @@ def test_subset_distance_rejects_targets_beyond_the_states():
 
 def test_forced_path_on_grid_words():
     for d, k in ((2, 2), (3, 2), (2, 3)):
-        g = gen_grid(d, k)
-        report = forced_path_check(g, grid_word(d, k))
-        assert report.passed
-        assert len(report.steps) == len(grid_word(d, k))
-        for step in report.steps:
-            assert len(step.new_letters) == 1
+        assert forced_path_check(gen_grid(d, k), grid_word(d, k)) is None
 
 
 def test_forced_path_cerny_classic_not_forced():
-    # informational only: the classic word's path branches
-    report = forced_path_check(gen_cerny(4), cerny_word(4))
-    assert report.passed is False
+    # informational only: the classic word's path branches at {q0,q1,q3}
+    step = forced_path_check(gen_cerny(4), cerny_word(4))
+    assert step == ForcedStep(3, 0b1011, new_letters=(0, 1), undefined_letters=(),
+                              visited_letters=())
 
 
 def test_forced_path_requires_defined_word():
@@ -221,11 +218,23 @@ def test_forced_path_rejects_out_of_range_letters_and_starts():
             forced_path_check(g, word, start)
 
 
+def test_forced_path_builds_at_most_one_step(monkeypatch):
+    built = []
+    monkeypatch.setattr(search, "ForcedStep", lambda *args: built.append(args))
+    forced_path_check(gen_grid(2, 3), grid_word(2, 3))
+    assert built == []
+    forced_path_check(gen_cerny(5), cerny_word(5))
+    assert len(built) == 1
+
+
 def test_forced_path_records_positions():
+    # a a b1 b2 b1 c2 synchronizes, but its second a leads back to the set
+    # the first one reached, where only b1 leads anywhere new
     g = gen_grid(2, 2)
-    report = forced_path_check(g, grid_word(2, 2))
-    assert [s.position for s in report.steps] == list(range(5))
-    assert report.steps[0].subset == g.full_set()
+    step = forced_path_check(g, (0, 0, 1, 2, 1, 3))
+    assert step == ForcedStep(1, 0b0101, new_letters=(1,), undefined_letters=(2, 3),
+                              visited_letters=(0,))
+    assert forced_path_check(g, (0, 0, 1, 2, 1, 3), start=0b0101).position == 0
 
 
 def test_reachable_count_witness():

@@ -21,6 +21,7 @@ from carefulsync import (
     parse_word,
     run_word,
 )
+from carefulsync.words import MAX_WORD_LEN
 
 
 def test_counting_word_unrolls():
@@ -123,6 +124,15 @@ def test_min_alt_reps_values():
     assert min_alt_reps(4, 1) is None
 
 
+def test_min_alt_reps_matches_the_per_r_definition():
+    for n in range(3, 31):
+        auto = gen_cerny(n)
+        for r_max in (0, 1, 2 * n):
+            expected = next((r for r in range(r_max + 1)
+                             if is_careful_sync_word(auto, cerny_alt_word(n, r))[0]), None)
+            assert min_alt_reps(n, r_max) == expected, (n, r_max)
+
+
 def test_digit_subset_base3_example():
     # value 10 over four base-3 classes: digits 1,0,1,0 from class 1 up
     mask = digit_subset(3, [1, 2, 3, 4], 10)
@@ -191,3 +201,12 @@ def test_word_text_errors():
         parse_word(letters, "a^x")
     with pytest.raises(ValueError):
         parse_word(letters, "a^-2")
+
+
+def test_word_text_length_bound():
+    letters = ("c1", "c2")
+    assert len(parse_word(letters, f"c1^{MAX_WORD_LEN}")) == MAX_WORD_LEN == 1_000_000
+    assert len(parse_word(letters, "c1^500000 c2^499999 c1")) == MAX_WORD_LEN
+    for text in ("c1^1000001", "c1^600000 c1^600000", "c1^1000000 c2"):
+        with pytest.raises(ValueError, match="more than 1000000 letters"):
+            parse_word(letters, text)
