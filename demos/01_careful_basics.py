@@ -7,7 +7,6 @@ has length 10, beating the (n-1)^2 bound that holds for total DFAs.
 """
 
 from carefulsync import (
-    apply_set,
     bits_from_states,
     brute_force_shortest,
     export_dot,
@@ -27,8 +26,8 @@ for q in range(pfa.n):
 
 print("\nsubset images (None = some member lacks the transition):")
 full = pfa.full_set()
-print("  full set under a:", format_state_set(pfa, apply_set(pfa, full, 0)))
-print("  {0,2} under b:   ", apply_set(pfa, bits_from_states([0, 2]), 1))
+print("  full set under a:", format_state_set(pfa, run_word(pfa, full, (0,)).final))
+print("  {0,2} under b:   ", run_word(pfa, bits_from_states([0, 2]), (1,)).final)
 
 print("\nthe published shortest word dies halfway:")
 quoted = parse_word(pfa.letters, "a b c a a a b b c a")

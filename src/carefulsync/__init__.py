@@ -9,7 +9,6 @@ truth.
 from .core import (
     Pfa,
     RunResult,
-    apply_set,
     bits_from_states,
     format_state_set,
     is_careful_sync_word,
@@ -69,7 +68,6 @@ from .words import (
     cerny_alt_word,
     cerny_word,
     counting_word,
-    counting_word_length,
     digit_subset,
     format_word,
     grid_word,

@@ -164,11 +164,19 @@ def image(tables: list[list[tuple[int, ...]]], letter: int, s: int) -> int | Non
     return None if out < 0 else out
 
 
-def apply_set(pfa: Pfa, s: int, letter: int) -> int | None:
-    """Image of a nonempty state subset under one letter, or ``None`` when
-    the letter is undefined on a member; a one-letter :func:`run_word`.
+def images(tables: list[list[tuple[int, ...]]], s: int) -> tuple[int, ...]:
+    """Every letter's image of the subset ``s``, from :func:`compile_letters`.
+
+    Entry ``a`` is the image under letter ``a``, or -1 when ``a`` is
+    undefined on some member of ``s`` (-1 survives every OR of chunk rows).
     """
-    return run_word(pfa, s, (letter,)).final
+    row = tables[0][s & 255]
+    for tab in tables[1:]:
+        s >>= 8
+        if not s:
+            break
+        row = tuple(map(or_, row, tab[s & 255]))
+    return row
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import or_
 from typing import AbstractSet, Sequence
 
-from .core import Pfa, compile_letters, image
+from .core import Pfa, compile_letters, image, images
 
 DEFAULT_MAX_SUBSETS = 1 << 24
 
@@ -108,8 +108,7 @@ def _bfs(
                     word, j = [], len(found) - 1
                     while j:
                         s, t, j = found[parent[j]], found[j], parent[j]
-                        word.append(next(a for a in range(len(pfa.letters))
-                                         if image(tables, a, s) == t))
+                        word.append(images(tables, s).index(t))
                     return tuple(reversed(word)), found[-1], count
         if not goals:
             del found[:hi], parent[:hi]
@@ -239,21 +238,26 @@ def forced_path_check(
         raise ValueError(f"start set {cur:#x} must be a nonempty subset of {pfa.n} states")
     tables = compile_letters(pfa)
     width = range(len(pfa.letters))
-    trace = [cur]
+    # Subsets on the path so far, and -1 so that undefined letters never
+    # count as leading somewhere new.
+    seen = {-1}
+    step, forced = None, True
     for pos, letter in enumerate(word):
         if letter not in width:
             raise ValueError(f"letter index {letter} out of range")
-        cur = image(tables, letter, cur)
+        if forced:
+            seen.add(cur)
+            row = images(tables, cur)
+            nxt = row[letter]
+            if nxt >= 0 and (set(row) - seen != {nxt} or row.count(nxt) != 1):
+                forced = False
+                step = ForcedStep(pos, cur, tuple(a for a in width if row[a] not in seen),
+                                  tuple(a for a in width if row[a] < 0),
+                                  tuple(a for a in width if row[a] >= 0 and row[a] in seen))
+            cur = None if nxt < 0 else nxt
+        else:
+            # Past the first unforced step the walk only checks the word.
+            cur = image(tables, letter, cur)
         if cur is None:
             raise ValueError(f"word is not defined from the start set (undefined at {pos})")
-        trace.append(cur)
-    seen = set()
-    for pos, (s, letter) in enumerate(zip(trace, word)):
-        seen.add(s)
-        images = [image(tables, a, s) for a in width]
-        new = [a for a, t in enumerate(images) if t is not None and t not in seen]
-        if new != [letter]:
-            return ForcedStep(pos, s, tuple(new),
-                              tuple(a for a, t in enumerate(images) if t is None),
-                              tuple(a for a, t in enumerate(images) if t in seen))
-    return None
+    return step

@@ -39,10 +39,6 @@ def counting_word(d: int, indices: Iterable[int]) -> tuple[int, ...]:
     return word
 
 
-def counting_word_length(d: int, size: int) -> int:
-    return d**size - 1
-
-
 def grid_word(d: int, k: int) -> tuple[int, ...]:
     """Carefully synchronizing word for the (d, k) counter grid.
 

@@ -1,10 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from carefulsync import (
     Pfa,
-    apply_set,
     bits_from_states,
     format_state_set,
     gen_grid,
@@ -16,6 +16,7 @@ from carefulsync import (
     total_merging_letter,
     validate,
 )
+from carefulsync.core import compile_letters, image, images
 
 WITNESS_DELTA = (
     (1, None, 1),
@@ -78,26 +79,26 @@ def test_bits_round_trip():
 
 def test_apply_set_full_under_a():
     pfa = gen_witness()
-    assert apply_set(pfa, pfa.full_set(), 0) == bits_from_states([1, 2, 3])
+    assert run_word(pfa, pfa.full_set(), (0,)).final == bits_from_states([1, 2, 3])
 
 
 def test_apply_set_undefined():
     pfa = gen_witness()
     # b has no transition from state 0
-    assert apply_set(pfa, bits_from_states([0, 2]), 1) is None
+    assert run_word(pfa, bits_from_states([0, 2]), (1,)).final is None
 
 
 def test_apply_set_self_loop_singleton():
     pfa = gen_witness()
-    assert apply_set(pfa, 1 << 1, 0) == 1 << 1
+    assert run_word(pfa, 1 << 1, (0,)).final == 1 << 1
 
 
 def test_apply_set_usage_errors():
     pfa = gen_witness()
     with pytest.raises(ValueError):
-        apply_set(pfa, 0, 0)
+        run_word(pfa, 0, (0,))
     with pytest.raises(ValueError):
-        apply_set(pfa, 1, 5)
+        run_word(pfa, 1, (5,))
 
 
 def test_run_word_trace():
@@ -174,7 +175,7 @@ def test_image_never_grows():
         pfa = gen_random(n, l, 0.8, seed)
         for s in range(1, 1 << n):
             for a in range(l):
-                img = apply_set(pfa, s, a)
+                img = run_word(pfa, s, (a,)).final
                 if img is not None:
                     assert img.bit_count() <= s.bit_count()
                     assert img != 0
@@ -182,4 +183,27 @@ def test_image_never_grows():
 
 def test_apply_set_is_pure():
     pfa = gen_witness()
-    assert apply_set(pfa, 0b1111, 0) == apply_set(pfa, 0b1111, 0)
+    assert run_word(pfa, 0b1111, (0,)).final == run_word(pfa, 0b1111, (0,)).final
+
+
+def test_images_match_image_for_every_letter():
+    # n = 8, 9, 32, 33, 40 put members on both sides of chunk boundaries,
+    # and n = 33, 40 need the chunks beyond the first four.
+    rng = random.Random(6)
+    undefined = defined = 0
+    for n, seed in itertools.product((1, 7, 8, 9, 31, 32, 33, 40), range(4)):
+        pfa = gen_random(n, 1 + seed, 0.97, seed)
+        tables = compile_letters(pfa)
+        subsets = {pfa.full_set(), 1 << (n - 1)}
+        subsets |= {rng.getrandbits(n) or 1 for _ in range(50)}
+        subsets |= {sum(1 << q for q in rng.sample(range(n), rng.randint(1, min(n, 4))))
+                    for _ in range(50)}
+        for s in subsets:
+            row = images(tables, s)
+            assert len(row) == len(pfa.letters)
+            for a, t in enumerate(row):
+                expect = image(tables, a, s)
+                assert t == (-1 if expect is None else expect)
+                undefined += expect is None
+                defined += expect is not None
+    assert undefined and defined

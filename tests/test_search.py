@@ -11,6 +11,7 @@ from carefulsync import (
     Pfa,
     bits_from_states,
     brute_force_shortest,
+    cerny_alt_word,
     cerny_word,
     digit_subset,
     forced_path_check,
@@ -235,6 +236,85 @@ def test_forced_path_records_positions():
     assert step == ForcedStep(1, 0b0101, new_letters=(1,), undefined_letters=(2, 3),
                               visited_letters=(0,))
     assert forced_path_check(g, (0, 0, 1, 2, 1, 3), start=0b0101).position == 0
+
+
+def _forced_path_reference(pfa, word, start=None):
+    """The two-pass, per-letter forced-path definition: walk the whole word
+    first, then classify every letter's image at each position."""
+    cur = pfa.full_set() if start is None else start
+    if not 0 < cur < 1 << pfa.n:
+        raise ValueError(f"start set {cur:#x} must be a nonempty subset of {pfa.n} states")
+    tables = compile_letters(pfa)
+    width = range(len(pfa.letters))
+    trace = [cur]
+    for pos, letter in enumerate(word):
+        if letter not in width:
+            raise ValueError(f"letter index {letter} out of range")
+        cur = image(tables, letter, cur)
+        if cur is None:
+            raise ValueError(f"word is not defined from the start set (undefined at {pos})")
+        trace.append(cur)
+    seen = set()
+    for pos, (s, letter) in enumerate(zip(trace, word)):
+        seen.add(s)
+        images = [image(tables, a, s) for a in width]
+        new = [a for a, t in enumerate(images) if t is not None and t not in seen]
+        if new != [letter]:
+            return ForcedStep(pos, s, tuple(new),
+                              tuple(a for a, t in enumerate(images) if t is None),
+                              tuple(a for a, t in enumerate(images) if t in seen))
+    return None
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as err:
+        return str(err)
+
+
+def test_forced_path_matches_the_two_pass_definition():
+    cases = []
+    for d, k in itertools.product(range(2, 5), range(2, 6)):
+        g, word = gen_grid(d, k), grid_word(d, k)
+        cases += [(g, word, None), (g, word[:1] + word, None), (g, word + word[-1:], None),
+                  (g, word[1:], g.full_set() ^ 1)]
+    for n in range(3, 9):
+        c = gen_cerny(n)
+        cases += [(c, cerny_word(n), None), (c, cerny_alt_word(n, n - 2), None),
+                  (c, (1,) * n + cerny_word(n), None)]
+    # looping and non-minimal grid words, and the errors: bad letters, bad
+    # starts, undefined steps
+    g, word = gen_grid(2, 2), grid_word(2, 2)
+    cases += [(g, (0, 0, 1, 2, 1, 3), None), (g, (0, 1, 1, 2, 1, 3), 0b0101),
+              (g, (0, 1, 2, 1, 0, 3), None), (g, word, 0), (g, word, 1 << g.n), (g, word, -1),
+              (g, word[:2] + (-1,) + word[2:], None), (g, word + (len(g.letters),), None),
+              (g, (3,) + word, None), (g, word[:2] + (5, 3) + word[2:], None),
+              (g, word[:2] + (3,) + word[2:], None), (g, (), None), (g, (), 0)]
+    rng = random.Random(6)
+    for seed in range(60):
+        pfa = gen_random(rng.randint(1, 9), rng.randint(1, 4), rng.choice((0.8, 0.95, 1.0)), seed)
+        tables = compile_letters(pfa)
+        start = rng.choice((None, rng.randint(1, pfa.full_set())))
+        for _ in range(4):
+            # a random walk that mostly takes defined letters
+            cur, word = pfa.full_set() if start is None else start, []
+            for _ in range(rng.randint(0, 25)):
+                defined = [a for a in range(len(pfa.letters)) if image(tables, a, cur) is not None]
+                if not defined or rng.random() < 0.03:
+                    word.append(rng.randrange(-1, len(pfa.letters) + 1))
+                    break
+                word.append(rng.choice(defined))
+                cur = image(tables, word[-1], cur)
+            cases.append((pfa, tuple(word), start))
+    outcomes = set()
+    for pfa, word, start in cases:
+        expect = _outcome(_forced_path_reference, pfa, word, start)
+        assert _outcome(forced_path_check, pfa, word, start) == expect
+        outcomes.add(type(expect))
+        if isinstance(expect, str):
+            outcomes.add(expect.split()[0])
+    assert outcomes == {type(None), ForcedStep, str, "letter", "start", "word"}
 
 
 def test_reachable_count_witness():

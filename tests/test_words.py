@@ -8,7 +8,6 @@ from carefulsync import (
     cerny_alt_word,
     cerny_word,
     counting_word,
-    counting_word_length,
     digit_subset,
     format_word,
     gen_cerny,
@@ -35,9 +34,7 @@ def test_counting_word_unrolls():
 def test_counting_word_lengths():
     for d in range(2, 6):
         for size in range(5):
-            indices = range(1, size + 1)
-            assert len(counting_word(d, indices)) == d**size - 1
-            assert counting_word_length(d, size) == d**size - 1
+            assert len(counting_word(d, range(1, size + 1))) == d**size - 1
 
 
 def test_counting_word_validation():
