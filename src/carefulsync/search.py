@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import or_
 from typing import AbstractSet, Sequence
 
-from .core import Pfa, compile_letters, image, images
+from .core import Pfa, compile_letters, images
 
 DEFAULT_MAX_SUBSETS = 1 << 24
 
@@ -239,25 +239,23 @@ def forced_path_check(
     tables = compile_letters(pfa)
     width = range(len(pfa.letters))
     # Subsets on the path so far, and -1 so that undefined letters never
-    # count as leading somewhere new.
+    # count as leading somewhere new.  Past the first unforced step the walk
+    # only checks the word.
     seen = {-1}
     step, forced = None, True
     for pos, letter in enumerate(word):
         if letter not in width:
             raise ValueError(f"letter index {letter} out of range")
+        row = images(tables, cur)
+        nxt = row[letter]
+        if nxt < 0:
+            raise ValueError(f"word is not defined from the start set (undefined at {pos})")
         if forced:
             seen.add(cur)
-            row = images(tables, cur)
-            nxt = row[letter]
-            if nxt >= 0 and (set(row) - seen != {nxt} or row.count(nxt) != 1):
+            if set(row) - seen != {nxt} or row.count(nxt) != 1:
                 forced = False
                 step = ForcedStep(pos, cur, tuple(a for a in width if row[a] not in seen),
                                   tuple(a for a in width if row[a] < 0),
                                   tuple(a for a in width if row[a] >= 0 and row[a] in seen))
-            cur = None if nxt < 0 else nxt
-        else:
-            # Past the first unforced step the walk only checks the word.
-            cur = image(tables, letter, cur)
-        if cur is None:
-            raise ValueError(f"word is not defined from the start set (undefined at {pos})")
+        cur = nxt
     return step
