@@ -14,6 +14,7 @@ subset), which keeps subset images cheap inside power-automaton loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -140,14 +141,17 @@ def compile_letters(pfa: Pfa) -> list[list[tuple[int, ...]]]:
     width = range(len(pfa.letters))
     tables = []
     for lo in range(0, max(n, 32), 8):
-        tab = [(0,) * len(width)]
-        for q in range(lo, min(lo + 8, n)):
+        states = range(lo, min(lo + 8, n))
+        # One column of images per letter, doubled once per state, then
+        # transposed into rows; without letters every row is ().
+        cols = [[0] for _ in width]
+        for q in states:
             row = [pfa.delta[q][a] for a in width]
             if any(t is not None and not 0 <= t < n for t in row):
                 raise ValueError(f"delta row {q} has a target outside {n} states")
-            bits = [-1 if t is None else 1 << t for t in row]
-            tab += [tuple(map(or_, img, bits)) for img in tab]
-        tables.append(tab)
+            for col, t in zip(cols, row):
+                col += list(map(or_, col, repeat(-1 if t is None else 1 << t)))
+        tables.append(list(zip(*cols)) or [()] * (1 << len(states)))
     return tables
 
 

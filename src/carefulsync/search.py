@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import or_
 from typing import AbstractSet, Sequence
 
-from .core import Pfa, compile_letters, images
+from .core import Pfa, compile_letters, image, images
 
 DEFAULT_MAX_SUBSETS = 1 << 24
 
@@ -75,15 +75,20 @@ def _bfs(
     wide = [(tab, 8 * j) for j, tab in enumerate(wide, 4)]
     # One byte per possible subset is used only while that is no more than a
     # hash table filled to the budget takes, at about 64 bytes per entry.
-    # ``seen[t]`` reads and marks either table alike.
+    # Either table reads 1 for a discovered subset and for -1 ("undefined",
+    # the flat table's extra last byte), 2 for a goal not yet discovered and
+    # 0 otherwise, so a probe is one lookup.
     flat = n <= FLAT_TABLE_LIMIT and 1 << n <= 64 * max_subsets
-    seen = bytearray(1 << n) if flat else defaultdict(int)
-    seen[start] = 1
+    seen = bytearray((1 << n) + 1) if flat else defaultdict(int)
+    for g in goals:
+        seen[g] = 2
+    seen[-1] = seen[start] = 1
     count = 1
     # Every discovered subset in BFS order and the index of its parent; the
     # level being expanded is ``found[lo:hi]``.  Without goals no word is
     # rebuilt, so each expanded level is dropped.
     found, parent = [start], array("L", [0])
+    push, push_parent = found.append, parent.append
     lo = 0
     while lo < len(found):
         hi = len(found)
@@ -94,21 +99,25 @@ def _bfs(
                 high = tuple(map(or_, high, tab[s >> shift & 255]))
             for a, b, c, d in zip(t0[s & 255], t1[s >> 8 & 255], t2[s >> 16 & 255], high):
                 t = a | b | c | d
-                if t < 0 or seen[t]:
+                v = seen[t]
+                if v == 1:
                     continue
                 seen[t] = 1
                 count += 1
                 if count > max_subsets:
                     raise CapExceeded(count)
-                found.append(t)
-                parent.append(i)
-                if t in goals:
+                push(t)
+                push_parent(i)
+                if v:
                     # Each subset was first reached from its parent by the
                     # smallest letter mapping one to the other.
                     word, j = [], len(found) - 1
                     while j:
                         s, t, j = found[parent[j]], found[j], parent[j]
-                        word.append(images(tables, s).index(t))
+                        a = 0
+                        while image(tables, a, s) != t:
+                            a += 1
+                        word.append(a)
                     return tuple(reversed(word)), found[-1], count
         if not goals:
             del found[:hi], parent[:hi]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import or_
 
 import pytest
 
@@ -11,7 +12,9 @@ from carefulsync import (
     gen_random,
     gen_witness,
     is_careful_sync_word,
+    reachable_subset_count,
     run_word,
+    shortest_careful_word,
     states_from_bits,
     total_merging_letter,
     validate,
@@ -207,3 +210,62 @@ def test_images_match_image_for_every_letter():
                 undefined += expect is None
                 defined += expect is not None
     assert undefined and defined
+
+
+def _compile_letters_by_rows(pfa):
+    """Reference letter tables, built a whole row at a time by doubling."""
+    n = pfa.n
+    width = range(len(pfa.letters))
+    tables = []
+    for lo in range(0, max(n, 32), 8):
+        tab = [(0,) * len(width)]
+        for q in range(lo, min(lo + 8, n)):
+            row = [pfa.delta[q][a] for a in width]
+            if any(t is not None and not 0 <= t < n for t in row):
+                raise ValueError(f"delta row {q} has a target outside {n} states")
+            bits = [-1 if t is None else 1 << t for t in row]
+            tab += [tuple(map(or_, img, bits)) for img in tab]
+        tables.append(tab)
+    return tables
+
+
+def _compiled(compile, pfa):
+    try:
+        return compile(pfa)
+    except (IndexError, ValueError) as err:
+        return type(err), str(err)
+
+
+def test_letter_tables_match_the_row_doubling_reference():
+    # == on lists of tuples also fails where a row is a list, not a tuple
+    undefined = 0
+    for n, seed in itertools.product((1, 7, 8, 9, 31, 32, 33, 40), range(4)):
+        pfa = gen_random(n, 1 + seed, 0.9, seed)
+        undefined += sum(row.count(None) for row in pfa.delta)
+        assert compile_letters(pfa) == _compile_letters_by_rows(pfa)
+    assert undefined
+    # ragged rows and targets out of range, alone and in either order
+    rng = random.Random(9)
+    errors = set()
+    for n, seed in itertools.product((3, 9, 33), range(12)):
+        delta = [list(row) for row in gen_random(n, 3, 0.9, seed).delta]
+        for _ in range(1 + seed % 3):
+            q = rng.randrange(n)
+            if rng.random() < 0.5:
+                delta[q].pop()
+            else:
+                delta[q][rng.randrange(len(delta[q]))] = rng.choice((n, n + 7, -1))
+        pfa = Pfa(("a", "b", "c"), delta)
+        outcome = _compiled(compile_letters, pfa)
+        assert outcome == _compiled(_compile_letters_by_rows, pfa)
+        errors.add(outcome[0])
+    assert errors == {IndexError, ValueError}
+
+
+def test_letterless_pfa():
+    pfa = Pfa((), ((), ()))
+    tables = compile_letters(pfa)
+    assert tables == _compile_letters_by_rows(pfa)
+    assert tables[0] == [()] * 4
+    assert shortest_careful_word(pfa) is None
+    assert reachable_subset_count(pfa) == 1

@@ -377,6 +377,42 @@ def test_kernel_matches_naive_closure_on_small_random_pfas():
         assert (found and found.word) == word
 
 
+def test_subset_distance_matches_naive_levels_for_every_target():
+    # every nonempty target: reachable or not, singleton or not
+    kinds = set()
+    for n, letters, seed in itertools.product(range(1, 6), (1, 2, 3), range(4)):
+        pfa = gen_random(n, letters, 0.8, seed)
+        levels = _naive_bfs(pfa)[0]
+        for dst in range(1, 1 << n):
+            level = levels.get(frozenset(states_from_bits(dst)))
+            assert subset_distance(pfa, pfa.full_set(), dst) == level
+            kinds.add((level is None, dst.bit_count() == 1))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_failed_search_visits_every_reachable_subset(monkeypatch):
+    # marking the singletons as goals must not change what a failed search
+    # counts; two disjoint copies of one table never merge, yet reach many
+    # subsets
+    corpus = []
+    for pfa in [gen_cerny(5), gen_cerny(13)] + [
+        gen_random(n, letters, density, seed)
+        for n, letters, density, seed in itertools.product(
+            (2, 3, 5, 13), (2, 3), (0.9, 1.0), range(3))
+    ]:
+        copies = Pfa(pfa.letters, [[None if t is None else t + pfa.n * half for t in row]
+                                   for half in (0, 1) for row in pfa.delta])
+        corpus += [p for p in (pfa, copies) if shortest_careful_word(p) is None]
+    assert max(map(reachable_subset_count, corpus)) > 1000
+    assert max(pfa.n for pfa in corpus) > search.FLAT_TABLE_LIMIT
+    for limit in (search.FLAT_TABLE_LIMIT, 0):
+        monkeypatch.setattr(search, "FLAT_TABLE_LIMIT", limit)
+        for pfa in corpus:
+            singletons = {1 << q for q in range(pfa.n)}
+            visited = search._bfs(pfa, None, singletons, search.DEFAULT_MAX_SUBSETS)[2]
+            assert visited == reachable_subset_count(pfa)
+
+
 def _with_boundary_holes(pfa):
     """``pfa`` with letter 0 kept total and the other letters undefined on
     states 7, 8, 31, 32 and the top state, on both sides of 8-bit chunk
@@ -422,6 +458,9 @@ def test_flat_and_hash_tables_agree(monkeypatch):
         for pfa in corpus:
             found = shortest_careful_word(pfa)
             out.append((found, reachable_subset_count(pfa)))
+            # marked goals that are reached, unreachable, or not singletons
+            full = pfa.full_set()
+            out.append([subset_distance(pfa, full, dst) for dst in range(1, 1 << min(pfa.n, 4))])
             # budgets of 16 and up keep cerny:n=10 on the flat table
             for cap in (1, 3, 16, 100):
                 try:
@@ -450,8 +489,11 @@ def _relabel(pfa, seed):
         (gen_cerny(14), "085858fee69563a12a3a217e5886e586716a11d781ce7b5f37f0c2b4bf30ba87", 16370),
         (_relabel(gen_grid(2, 10), 7),
          "d44da882371c169c9014ba85f1c696c3854c2defe0f0eb21b49ef8ddb929bd59", 2046),
+        # 25 states: above FLAT_TABLE_LIMIT, so the hash table
+        (_relabel(gen_grid(5, 5), 7),
+         "5cfcfff9f18d101c4f9aacc7255d33134e273a7ea64452c292e6568572fc52dd", 3902),
     ],
-    ids=["cerny:n=14", "grid:d=2,k=10 renumbered"],
+    ids=["cerny:n=14", "grid:d=2,k=10 renumbered", "grid:d=5,k=5 renumbered"],
 )
 def test_kernel_golden_words(pfa, digest, visited):
     # pins the lexicographic tie-break and the visited count
