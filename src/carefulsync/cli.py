@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .core import Pfa, format_state_set, is_careful_sync_word, run_word
 from .families import FamilySpec, parse_family
-from .io import ParseError, ValidationError, automaton_to_json, export_dot, load_document
+from .io import ParseError, automaton_to_json, export_dot, load_document
 from .reporting import check_battery, errata_report, sweep, sweep_csv
 from .search import CapExceeded, DEFAULT_MAX_SUBSETS, brute_force_shortest, shortest_careful_word
 from .transforms import lift_word, transform
@@ -37,7 +36,7 @@ EXIT_NOT_SYNC = 3
 EXIT_CAP = 4
 
 
-def _load_automaton(target: str, seed: int | None = None) -> tuple[Pfa, FamilySpec | None]:
+def _load_automaton(target: str) -> tuple[Pfa, FamilySpec | None]:
     """Resolve a positional automaton argument: file path or family spec."""
     looks_like_path = os.path.exists(target) or os.sep in target or target.endswith(".json")
     if looks_like_path:
@@ -53,16 +52,8 @@ def _load_automaton(target: str, seed: int | None = None) -> tuple[Pfa, FamilySp
             except ValueError:
                 spec = None
         return pfa, spec
-    spec = _parse_spec(target, seed)
+    spec = parse_family(target)
     return spec.build(), spec
-
-
-def _parse_spec(text: str, seed: int | None) -> FamilySpec:
-    """Parse a family spec; ``seed`` replaces a random family's seed."""
-    spec = parse_family(text)
-    if seed is not None and spec.kind == "random":
-        spec = replace(spec, seed=seed)
-    return spec
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -73,13 +64,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    spec = _parse_spec(args.family, args.seed)
+    spec = parse_family(args.family)
     _emit(automaton_to_json(spec.build(), family=spec.to_string()), args.out)
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
-    pfa, _ = _load_automaton(args.automaton, args.seed)
+    pfa, _ = _load_automaton(args.automaton)
     found = shortest_careful_word(pfa, max_subsets=args.max_subsets)
     if found is None:
         print("not carefully synchronizing", file=sys.stderr)
@@ -104,7 +95,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    pfa, _ = _load_automaton(args.automaton, args.seed)
+    pfa, _ = _load_automaton(args.automaton)
     word = parse_word(pfa.letters, args.word)
     res = run_word(pfa, pfa.full_set(), word)
     if res.final is None:
@@ -118,7 +109,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    pfa, spec = _load_automaton(args.automaton, args.seed)
+    pfa, spec = _load_automaton(args.automaton)
     word = parse_word(pfa.letters, args.word) if args.word else None
     results = check_battery(pfa, spec=spec, word=word)
     for r in results:
@@ -164,7 +155,7 @@ def _cmd_words(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    base, _ = _load_automaton(args.automaton, args.seed)
+    base, _ = _load_automaton(args.automaton)
     rec = transform(args.d, base)
     if args.word is not None:
         base_word = parse_word(base.letters, args.word)
@@ -179,20 +170,20 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    specs = [_parse_spec(f, args.seed) for f in args.family]
+    specs = [parse_family(f) for f in args.family]
     rows = sweep(specs, max_subsets=args.max_subsets)
     _emit(sweep_csv(rows, include_timings=args.timings), args.out)
     return EXIT_OK
 
 
 def _cmd_export_dot(args) -> int:
-    pfa, _ = _load_automaton(args.automaton, args.seed)
+    pfa, _ = _load_automaton(args.automaton)
     _emit(export_dot(pfa), args.out)
     return EXIT_OK
 
 
 def _cmd_errata(args) -> int:
-    _emit(errata_report(max_subsets=args.max_subsets), args.out)
+    _emit(errata_report(), args.out)
     return EXIT_OK
 
 
@@ -210,26 +201,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("gen", help="generate a family instance as a document")
     p.add_argument("--family", required=True)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_gen)
 
     p = commands.add_parser("solve", help="shortest carefully synchronizing word")
     _add_automaton_arg(p)
     p.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS)
     p.add_argument("--max-wordlen", type=int, help="also run the enumeration oracle")
-    p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_solve)
 
     p = commands.add_parser("verify", help="check a word on an automaton")
     _add_automaton_arg(p)
     p.add_argument("--word", required=True)
-    p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_verify)
 
     p = commands.add_parser("check", help="run the structural check battery")
     _add_automaton_arg(p)
     p.add_argument("--word")
-    p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_check)
 
     p = commands.add_parser("words", help="print builder words for a family")
@@ -242,7 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--word", help="base word to lift instead of emitting the document")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_transform)
 
     p = commands.add_parser("sweep", help="solve many instances and emit CSV")
@@ -250,18 +236,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS)
     p.add_argument("--timings", action="store_true")
-    p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_sweep)
 
     p = commands.add_parser("export-dot", help="render an automaton as Graphviz DOT")
     _add_automaton_arg(p)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_export_dot)
 
     p = commands.add_parser("errata", help="claims vs measurements report")
     p.add_argument("--out")
-    p.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS)
     p.set_defaults(handler=_cmd_errata)
 
     return parser
@@ -281,9 +264,6 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
-    except (ParseError, ValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

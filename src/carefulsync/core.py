@@ -18,10 +18,6 @@ from itertools import repeat
 from operator import or_
 from typing import Iterable, Sequence
 
-# A word is a tuple of letter indices; a state set is an int bitmask.
-Word = tuple[int, ...]
-StateSet = int
-
 
 @dataclass(frozen=True)
 class Pfa:

@@ -247,7 +247,7 @@ def check_battery(
     return results
 
 
-def _witness_section(lines: list[str], max_subsets: int) -> None:
+def _witness_section(lines: list[str]) -> None:
     pfa = gen_witness()
     claimed = "a b c a a a b b c a"
     word = tuple("abc".index(ch) for ch in claimed.split())
@@ -262,7 +262,7 @@ def _witness_section(lines: list[str], max_subsets: int) -> None:
     else:
         ok, state = is_careful_sync_word(pfa, word)
         lines.append(f"    -> word runs to {format_state_set(pfa, res.final)}, careful={ok}")
-    found = shortest_careful_word(pfa, max_subsets=max_subsets)
+    found = shortest_careful_word(pfa)
     lines.append(
         f"    measured shortest length {found.length}: "
         f'"{format_word(pfa.letters, found.word)}"'
@@ -271,12 +271,12 @@ def _witness_section(lines: list[str], max_subsets: int) -> None:
     lines.append(f"    verdict: {verdict}")
 
 
-def _grid_section(lines: list[str], max_subsets: int) -> None:
+def _grid_section(lines: list[str]) -> None:
     lines.append("[2] grid word length: claimed closed form vs constructed word vs search")
     for d, k in ((2, 2), (3, 2), (2, 3), (3, 3)):
         built = grid_word_length(d, k)
         claimed = grid_word_claimed_length(d, k)
-        found = shortest_careful_word(gen_grid(d, k), max_subsets=max_subsets)
+        found = shortest_careful_word(gen_grid(d, k))
         lines.append(
             f"    d={d} k={k}: constructed {built}, claimed {claimed}, "
             f"search {found.length}; claim off by {claimed - found.length:+d}"
@@ -301,7 +301,7 @@ def _alt_word_section(lines: list[str]) -> None:
     lines.append("    verdict: published tail counts undershoot; repaired counts verified by simulation")
 
 
-def _distance_section(lines: list[str], max_subsets: int) -> None:
+def _distance_section(lines: list[str]) -> None:
     lines.append("[4] odometer distances in expanded automata (all-zeros to all-tops)")
     for d in (2, 3):
         rec = transform(d, gen_chain(3))
@@ -309,24 +309,24 @@ def _distance_section(lines: list[str], max_subsets: int) -> None:
             classes = range(1, s + 1)
             src = digit_subset(d, classes, 0)
             dst = digit_subset(d, classes, d**s - 1)
-            dist = subset_distance(rec.result, src, dst, max_subsets=max_subsets)
+            dist = subset_distance(rec.result, src, dst)
             expected = d**s - 1
             status = "PASS" if dist == expected else f"FAIL (got {dist})"
             lines.append(f"    d={d} s={s}: distance {dist} = d^s - 1: {status}")
 
 
-def errata_report(max_subsets: int = DEFAULT_MAX_SUBSETS) -> str:
+def errata_report() -> str:
     """Fixed battery comparing published claims against measured ground truth."""
     lines = [
         "careful synchronization: claims vs measurements",
         "===============================================",
         "",
     ]
-    _witness_section(lines, max_subsets)
+    _witness_section(lines)
     lines.append("")
-    _grid_section(lines, max_subsets)
+    _grid_section(lines)
     lines.append("")
     _alt_word_section(lines)
     lines.append("")
-    _distance_section(lines, max_subsets)
+    _distance_section(lines)
     return "\n".join(lines) + "\n"

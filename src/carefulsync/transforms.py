@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Pfa, bits_from_states, is_careful_sync_word, run_word, states_from_bits
-from .families import expand, gen_cerny
+from .families import MAX_TABLE_ENTRIES, expand, gen_cerny
 from .words import MAX_WORD_LEN, cerny_alt_word, cerny_word, counting_word, min_alt_reps
 
 
@@ -92,13 +92,19 @@ def transform(d: int, base: Pfa) -> TransformRecord:
 
     The result has ``d * k`` states under the canonical layout and alphabet
     ``a``, ``b1..bk``, then one c-letter per base letter (named ``c1..cs``
-    positionally), as built by :func:`carefulsync.families.expand`.
+    positionally), as built by :func:`carefulsync.families.expand`.  An
+    expansion of more than :data:`~carefulsync.families.MAX_TABLE_ENTRIES`
+    table entries raises ValueError before it is built.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
     k, s = base.n, len(base.letters)
     if k < 1 or s < 1:
         raise ValueError("base automaton needs at least one state and one letter")
+    entries = d * k * (1 + k + s)
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(f"the {d}-expansion has {entries} table entries "
+                         f"(states times letters), over the limit of {MAX_TABLE_ENTRIES}")
     result = expand(d, base, [f"c{l}" for l in range(1, s + 1)])
     return TransformRecord(base=base, d=d, result=result, letter_map=tuple(range(k + 1, k + 1 + s)))
 
@@ -110,22 +116,26 @@ def lift_word(rec: TransformRecord, base_word: Sequence[int]) -> tuple[int, ...]
     its c-letter followed by the odometer over the classes still active in
     the base (recomputed by simulating the base, not trusted from the
     caller); nothing follows the final c-letter.  The base word must
-    carefully synchronize the base automaton, else ValueError.
+    carefully synchronize the base automaton, and the lifted word must have
+    at most :data:`~carefulsync.words.MAX_WORD_LEN` letters, else ValueError.
     """
     base = rec.base
     res = run_word(base, base.full_set(), base_word)
     if res.final is None or res.final.bit_count() != 1:
         raise ValueError("base word does not carefully synchronize the base automaton")
-    k = base.n
+    k, d = base.n, rec.d
+    length = d**k + len(base_word) + sum(d ** t.bit_count() - 1 for t in res.trace[1:-1])
+    if length > MAX_WORD_LEN:
+        raise ValueError(f"the lifted word has {length} letters, over the budget of {MAX_WORD_LEN}")
     word: list[int] = [0]
-    word.extend(counting_word(rec.d, range(1, k + 1)))
+    word.extend(counting_word(d, range(1, k + 1)))
     last = len(base_word) - 1
     for pos, letter in enumerate(base_word):
         word.append(rec.letter_map[letter])
         if pos == last:
             break
         active = [q + 1 for q in states_from_bits(res.trace[pos + 1])]
-        word.extend(counting_word(rec.d, active))
+        word.extend(counting_word(d, active))
     return tuple(word)
 
 
@@ -145,31 +155,18 @@ class LiftedCernyMeasurement:
     lower_bound_ok: bool
 
 
-def lifted_cerny_measurement(
-    d: int, n: int, r_max: int | None = None, max_word_len: int = MAX_WORD_LEN
-) -> LiftedCernyMeasurement:
+def lifted_cerny_measurement(d: int, n: int) -> LiftedCernyMeasurement:
     """Expand the n-state cyclic DFA by d and measure the lifted word.
 
     The base word is the two-phase reset word with the smallest working
-    tail count when one exists within ``r_max`` (default 2n), otherwise the
-    classic reset word.  Raises ValueError when the worst-case lifted
-    length would exceed ``max_word_len``.
+    tail count up to 2n when there is one, otherwise the classic reset
+    word.  Raises ValueError when the lifted word would exceed the budget
+    of :func:`lift_word`.
     """
     if d < 2 or n < 3:
         raise ValueError("requires d >= 2 and n >= 3")
-    if r_max is None:
-        r_max = 2 * n
-    r = min_alt_reps(n, r_max)
-    if r is not None:
-        base_word = cerny_alt_word(n, r)
-    else:
-        base_word = cerny_word(n)
-    # every segment is at most one c-letter plus a full odometer
-    estimate = 1 + (len(base_word) + 1) * d**n
-    if estimate > max_word_len:
-        raise ValueError(
-            f"lifted word could reach {estimate} letters, over the {max_word_len} budget"
-        )
+    r = min_alt_reps(n, 2 * n)
+    base_word = cerny_word(n) if r is None else cerny_alt_word(n, r)
     rec = transform(d, gen_cerny(n))
     lifted = lift_word(rec, base_word)
     ok, _ = is_careful_sync_word(rec.result, lifted)

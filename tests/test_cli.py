@@ -1,6 +1,7 @@
+import argparse
 import json
 
-from carefulsync.cli import main
+from carefulsync.cli import _build_parser, main
 from carefulsync.families import gen_witness
 from carefulsync.io import automaton_to_json
 
@@ -123,6 +124,24 @@ def test_word_input_over_the_word_budget(capsys):
             assert "more than 1000000 letters" in captured.err
 
 
+def test_transform_over_the_table_limit(tmp_path, capsys):
+    # 100000 * 4 states times 1 + 4 + 3 letters = 3,200,000 entries
+    path = tmp_path / "big.json"
+    assert main(["transform", "witness", "--d", "100000", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "3200000 table entries" in captured.err
+    assert not path.exists()
+
+
+def test_transform_lifted_word_over_the_word_budget(capsys):
+    # 100^3 + 4 + 3 * (100^2 - 1) = 1,030,001 letters
+    assert main(["transform", "cerny:n=3", "--d", "100", "--word", "c1 c2 c2 c1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1030001 letters" in captured.err
+
+
 def test_gen_rejects_oversized_family(tmp_path, capsys):
     path = tmp_path / "big.json"
     assert main(["gen", "--family", "random:n=1025,l=1024,p=0.5,seed=1", "--out", str(path)]) == 2
@@ -223,10 +242,32 @@ def test_errata_command(capsys):
     assert "undefined at position 7" in capsys.readouterr().out
 
 
-def test_seed_override(capsys):
-    assert main(["gen", "--family", "random:n=3,l=2,p=1.0,seed=1", "--seed", "9"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["metadata"] == "random:n=3,l=2,p=1.0,seed=9"
+def test_removed_options_are_rejected(capsys):
+    # The seed lives in the spec string; the errata's searches are fixed.
+    assert main(["gen", "--family", "random:n=3,l=2,p=1.0,seed=1", "--seed", "9"]) == 2
+    assert main(["errata", "--max-subsets", "5"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_option_surface():
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: {opt for a in sub._actions if not isinstance(a, argparse._HelpAction)
+               for opt in a.option_strings}
+        for name, sub in commands.choices.items()
+    }
+    assert surface == {
+        "gen": {"--family", "--out"},
+        "solve": {"--max-subsets", "--max-wordlen"},
+        "verify": {"--word"},
+        "check": {"--word"},
+        "words": {"--family", "--r-override"},
+        "transform": {"--d", "--word", "--out"},
+        "sweep": {"--family", "--out", "--max-subsets", "--timings"},
+        "export-dot": {"--out"},
+        "errata": {"--out"},
+    }
 
 
 def test_unknown_command(capsys):

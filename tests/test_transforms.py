@@ -19,6 +19,7 @@ from carefulsync import (
     lifted_cerny_measurement,
     shortest_careful_word,
     transform,
+    transforms,
 )
 
 
@@ -189,7 +190,19 @@ def test_lifted_cerny_measurement():
 
 
 def test_lifted_cerny_budget():
-    with pytest.raises(ValueError):
-        lifted_cerny_measurement(2, 5, max_word_len=10)
+    with pytest.raises(ValueError, match="over the budget of 1000000"):
+        lifted_cerny_measurement(2, 20)  # the first odometer alone has 2^20 letters
     with pytest.raises(ValueError):
         lifted_cerny_measurement(1, 4)
+
+
+def test_lift_word_budget_is_the_exact_length(monkeypatch):
+    for d, n in itertools.product((2, 3, 4), (3, 4, 5, 6)):
+        rec = transform(d, gen_cerny(n))
+        length = len(lift_word(rec, cerny_word(n)))
+        monkeypatch.setattr(transforms, "MAX_WORD_LEN", length)
+        assert len(lift_word(rec, cerny_word(n))) == length
+        monkeypatch.setattr(transforms, "MAX_WORD_LEN", length - 1)
+        with pytest.raises(ValueError, match=f"{length} letters"):
+            lift_word(rec, cerny_word(n))
+        monkeypatch.undo()
