@@ -48,7 +48,7 @@ print("\nthe two-phase base word is shorter to lift; its published tail count ne
 for m in (4, 6):
     literal = m - 3
     works, _ = is_careful_sync_word(gen_cerny(m), cerny_alt_word(m, literal))
-    repaired = min_alt_reps(m, 2 * m)
+    repaired = min_alt_reps(m)
     print(f"  n={m}: literal r={literal} works={works}; minimal working r={repaired}")
 
 print("\nmeasurements for the expanded cyclic family (d=2):")

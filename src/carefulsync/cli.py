@@ -75,12 +75,13 @@ def _cmd_solve(args) -> int:
     if found is None:
         print("not carefully synchronizing", file=sys.stderr)
         return EXIT_NOT_SYNC
+    if args.max_wordlen is not None:  # first, so a bad length or budget prints nothing
+        oracle = brute_force_shortest(pfa, args.max_wordlen, args.max_subsets)
     print(f"word: {format_word(pfa.letters, found.word)}")
     print(f"length: {found.length}")
     print(f"state: {pfa.state_name(found.synchronized_state)}")
     print(f"visited-subsets: {found.visited_subsets}")
     if args.max_wordlen is not None:
-        oracle = brute_force_shortest(pfa, args.max_wordlen)
         if oracle is None:
             print(f"oracle: no word within length {args.max_wordlen}")
             if args.max_wordlen >= found.length:
@@ -110,7 +111,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_check(args) -> int:
     pfa, spec = _load_automaton(args.automaton)
-    word = parse_word(pfa.letters, args.word) if args.word else None
+    word = None if args.word is None else parse_word(pfa.letters, args.word)
     results = check_battery(pfa, spec=spec, word=word)
     for r in results:
         print(f"{r.name}: {'PASS' if r.passed else 'FAIL'} ({r.detail})")
@@ -129,21 +130,14 @@ def _cmd_words(args) -> int:
                          f"over the budget of {MAX_WORD_LEN}")
     if spec.kind == "cerny":
         classic = cerny_word(spec.n)
-        # Build the override word first, so an invalid one prints nothing.
-        alt = None if args.r_override is None else cerny_alt_word(spec.n, args.r_override)
         print(f"classic-word: {format_word(pfa.letters, classic)}")
         print(f"classic-length: {len(classic)}")
-        if alt is not None:
-            ok, _ = is_careful_sync_word(pfa, alt)
-            print(f"two-phase-word (r={args.r_override}): {format_word(pfa.letters, alt)}")
-            print(f"two-phase-verifies: {'yes' if ok else 'no'}")
-        else:
-            minimal = min_alt_reps(spec.n, 2 * spec.n)
-            print(f"two-phase-minimal-r: {minimal if minimal is not None else 'none'}")
-            if minimal is not None:
-                alt = cerny_alt_word(spec.n, minimal)
-                print(f"two-phase-word: {format_word(pfa.letters, alt)}")
-                print(f"two-phase-length: {len(alt)}")
+        minimal = min_alt_reps(spec.n)
+        print(f"two-phase-minimal-r: {minimal if minimal is not None else 'none'}")
+        if minimal is not None:
+            alt = cerny_alt_word(spec.n, minimal)
+            print(f"two-phase-word: {format_word(pfa.letters, alt)}")
+            print(f"two-phase-length: {len(alt)}")
         return EXIT_OK
     word = build_word(*spec.args)
     print(f"word: {format_word(pfa.letters, word)}")
@@ -221,7 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("words", help="print builder words for a family")
     p.add_argument("--family", required=True)
-    p.add_argument("--r-override", type=int)
     p.set_defaults(handler=_cmd_words)
 
     p = commands.add_parser("transform", help="expand an automaton into digit classes")

@@ -173,46 +173,50 @@ def subset_distance(
     return None if word is None else len(word)
 
 
-def brute_force_shortest(pfa: Pfa, max_len: int) -> tuple[int, ...] | None:
+def brute_force_shortest(
+    pfa: Pfa, max_len: int, max_subsets: int = DEFAULT_MAX_SUBSETS
+) -> tuple[int, ...] | None:
     """Naive minimality oracle: first careful synchronizing word by enumeration.
 
     Words are enumerated in order of increasing length and, within a
     length, lexicographically by letter index, simulating every state
     individually.  Returns ``None`` when no word of length at most
     ``max_len`` works.  Intended for tiny instances only; agrees with
-    :func:`shortest_careful_word` wherever both apply.
+    :func:`shortest_careful_word` wherever both apply.  A negative
+    ``max_len`` raises ValueError, and :class:`CapExceeded` is raised once
+    more than ``max_subsets`` prefixes have been extended.
     """
-    n = pfa.n
-    nletters = len(pfa.letters)
-    delta = pfa.delta
-    start = tuple(range(n))
-    if n == 1:
-        return ()
-
-    def extend(vec: tuple[int, ...], remaining: int, prefix: list[int]):
-        if remaining == 0:
-            if all(q == vec[0] for q in vec):
-                return tuple(prefix)
-            return None
-        for a in range(nletters):
-            nxt = []
-            for q in vec:
-                t = delta[q][a]
-                if t is None:
-                    break
-                nxt.append(t)
-            else:
-                prefix.append(a)
-                found = extend(tuple(nxt), remaining - 1, prefix)
-                if found is not None:
-                    return found
-                prefix.pop()
-        return None
-
+    if max_len < 0:
+        raise ValueError(f"word length bound {max_len} is negative")
+    # Each letter's column of the table, highest letter first, so that the
+    # least letter's extension is pushed last and popped first.
+    columns = [(a, tuple(row[a] for row in pfa.delta)) for a in range(len(pfa.letters))][::-1]
+    count = 0
     for depth in range(max_len + 1):
-        found = extend(start, depth, [])
-        if found is not None:
-            return found
+        # Depth-first over the words of this length.  An entry is a prefix's
+        # state vector, its length k and its last letter, kept in ``word[k]``.
+        word = [0] * (depth + 1)
+        stack = [(tuple(range(pfa.n)), 0, 0)]
+        while stack:
+            vec, k, last = stack.pop()
+            word[k] = last
+            if k == depth:
+                if all(q == vec[0] for q in vec):
+                    return tuple(word[1:])
+                continue
+            k += 1
+            for a, col in columns:
+                nxt = []
+                for q in vec:
+                    t = col[q]
+                    if t is None:
+                        break
+                    nxt.append(t)
+                else:
+                    count += 1
+                    if count > max_subsets:
+                        raise CapExceeded(count)
+                    stack.append((tuple(nxt), k, a))
     return None
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .core import Pfa, bits_from_states, is_careful_sync_word, run_word, states_from_bits
 from .families import MAX_TABLE_ENTRIES, expand, gen_cerny
-from .words import MAX_WORD_LEN, cerny_alt_word, cerny_word, counting_word, min_alt_reps
+from .words import MAX_WORD_LEN, cerny_alt_word, counting_word, min_alt_reps
 
 
 @dataclass(frozen=True)
@@ -159,14 +159,12 @@ def lifted_cerny_measurement(d: int, n: int) -> LiftedCernyMeasurement:
     """Expand the n-state cyclic DFA by d and measure the lifted word.
 
     The base word is the two-phase reset word with the smallest working
-    tail count up to 2n when there is one, otherwise the classic reset
-    word.  Raises ValueError when the lifted word would exceed the budget
-    of :func:`lift_word`.
+    tail count.  Raises ValueError when the lifted word would exceed the
+    budget of :func:`lift_word`.
     """
     if d < 2 or n < 3:
         raise ValueError("requires d >= 2 and n >= 3")
-    r = min_alt_reps(n, 2 * n)
-    base_word = cerny_word(n) if r is None else cerny_alt_word(n, r)
+    base_word = cerny_alt_word(n, min_alt_reps(n))
     rec = transform(d, gen_cerny(n))
     lifted = lift_word(rec, base_word)
     ok, _ = is_careful_sync_word(rec.result, lifted)

@@ -63,17 +63,14 @@ def grid_word_length(d: int, k: int) -> int:
 def grid_word_claimed_length(d: int, k: int) -> int:
     """Published closed-form length claim for the grid word.
 
-    Evaluates ``(d^(k+1) + (d-1)k - d^2) / (d-1)`` exactly.  The claim
-    exceeds the constructed word's length by k-1 (the per-class c-letter is
-    counted twice in the published derivation); kept verbatim so reports
-    can show the discrepancy.
+    Evaluates ``(d^(k+1) + (d-1)k - d^2) / (d-1)``, exact since d = 1 (mod
+    d-1).  The claim exceeds the constructed word's length by k-1 (the
+    per-class c-letter is counted twice in the published derivation); kept
+    verbatim so reports can show the discrepancy.
     """
     if d < 2 or k < 2:
         raise ValueError("requires d >= 2 and k >= 2")
-    num = d ** (k + 1) + (d - 1) * k - d * d
-    if num % (d - 1):
-        raise ArithmeticError("claimed closed form is not an integer")
-    return num // (d - 1)
+    return (d ** (k + 1) + (d - 1) * k - d * d) // (d - 1)
 
 
 def cerny_word(n: int) -> tuple[int, ...]:
@@ -83,34 +80,25 @@ def cerny_word(n: int) -> tuple[int, ...]:
     return ((0,) + (1,) * (n - 1)) * (n - 2) + (0,)
 
 
-def cerny_alt_word(n: int, reps: int | None = None) -> tuple[int, ...]:
+def cerny_alt_word(n: int, r: int) -> tuple[int, ...]:
     """Two-phase reset word (c1 c2^2)^h (c1 c2^(n-1))^r c1 for the cyclic DFA.
 
-    The head repetition count h is n/2 for even n and (n+1)/2 for odd n.
-    ``reps`` overrides the tail count r, whose published defaults are n-3
-    (even) and n-4 (odd); simulation shows those defaults undershoot, see
-    :func:`min_alt_reps`.
+    The head count h is (n+1)//2 for either parity; :func:`min_alt_reps`
+    gives the least tail count r that resets.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
-    if n % 2 == 0:
-        head, default_r = n // 2, n - 3
-    else:
-        head, default_r = (n + 1) // 2, n - 4
-    r = default_r if reps is None else reps
     if r < 0:
         raise ValueError(f"tail repetition count {r} is negative")
-    u = (0, 1, 1)
-    v = (0,) + (1,) * (n - 1)
-    return u * head + v * r + (0,)
+    return (0, 1, 1) * ((n + 1) // 2) + ((0,) + (1,) * (n - 1)) * r + (0,)
 
 
-def min_alt_reps(n: int, r_max: int) -> int | None:
-    """Smallest tail count r <= r_max making the two-phase word reset the cyclic DFA.
+def min_alt_reps(n: int) -> int | None:
+    """Smallest tail count r making the two-phase word reset the cyclic DFA.
 
-    Found in one walk: the head once, then for each r the final ``c1`` and
-    one more tail block.  ``None`` when no r in range works, or when n < 3
-    and there is no two-phase word.
+    Found in one walk: the head once, then per r the final ``c1`` and one
+    more tail block.  At r = n-2 the word is the head then :func:`cerny_word`,
+    which resets the total DFA from any set.  ``None`` when n < 3.
     """
     if n < 3:
         return None
@@ -119,12 +107,12 @@ def min_alt_reps(n: int, r_max: int) -> int | None:
     s = (1 << n) - 1
     for a in word[:-n - 1]:  # the head
         s = image(tables, a, s)
-    for r in range(r_max + 1):
+    for r in range(n - 2):
         if image(tables, 0, s).bit_count() == 1:  # the final c1; the table is total
             return r
         for a in word[-n - 1:-1]:  # one more tail block
             s = image(tables, a, s)
-    return None
+    return n - 2
 
 
 # Per family kind, three functions of the spec's generator arguments: the

@@ -186,7 +186,7 @@ def test_c10_two_phase_word_arbitration():
     for n in (4, 5, 6, 7, 8, 9, 10):
         auto = gen_cerny(n)
         literal = n - 3 if n % 2 == 0 else n - 4
-        minimal = min_alt_reps(n, 2 * n)
+        minimal = min_alt_reps(n)
         # report the literal tail count's outcome; simulation is ground truth
         if literal >= 0:
             ok, _ = is_careful_sync_word(auto, cerny_alt_word(n, literal))

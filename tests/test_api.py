@@ -1,0 +1,100 @@
+"""The library's public surface: each exported function's and class's signature.
+
+An added, removed or renamed parameter changes this table, so it shows up in
+review.  A class is listed with its constructor's signature, and ``None``
+marks an exception class that keeps its builtin constructor.
+"""
+
+import inspect
+
+import carefulsync
+
+SIGNATURES = {
+    "automaton_from_json": "(text: 'str') -> 'Pfa'",
+    "automaton_to_json": "(pfa: 'Pfa', family: 'str | None' = None) -> 'str'",
+    "bits_from_states": "(states: 'Iterable[int]') -> 'int'",
+    "brute_force_shortest": "(pfa: 'Pfa', max_len: 'int', max_subsets: 'int' = 16777216)"
+                            " -> 'tuple[int, ...] | None'",
+    "CapExceeded": "(visited: 'int')",
+    "cerny_alt_word": "(n: 'int', r: 'int') -> 'tuple[int, ...]'",
+    "cerny_word": "(n: 'int') -> 'tuple[int, ...]'",
+    "check_battery": "(pfa: 'Pfa', spec: 'FamilySpec | None' = None,"
+                     " word: 'Sequence[int] | None' = None) -> 'list[CheckResult]'",
+    "CheckResult": "(name: 'str', passed: 'bool', detail: 'str') -> None",
+    "counting_word": "(d: 'int', indices: 'Iterable[int]') -> 'tuple[int, ...]'",
+    "digit_subset": "(d: 'int', indices: 'Iterable[int]', value: 'int') -> 'int'",
+    "errata_report": "() -> 'str'",
+    "export_dot": "(pfa: 'Pfa') -> 'str'",
+    "FamilySpec": "(kind: 'str', d: 'int | None' = None, k: 'int | None' = None,"
+                  " n: 'int | None' = None, letter_count: 'int | None' = None,"
+                  " density: 'float | None' = None, seed: 'int | None' = None) -> None",
+    "forced_path_check": "(pfa: 'Pfa', word: 'Sequence[int]', start: 'int | None' = None)"
+                         " -> 'ForcedStep | None'",
+    "ForcedStep": "(position: 'int', subset: 'int', new_letters: 'tuple[int, ...]',"
+                  " undefined_letters: 'tuple[int, ...]',"
+                  " visited_letters: 'tuple[int, ...]') -> None",
+    "format_state_set": "(pfa: 'Pfa', mask: 'int') -> 'str'",
+    "format_word": "(letters: 'Sequence[str]', word: 'Sequence[int]') -> 'str'",
+    "gen_cerny": "(n: 'int') -> 'Pfa'",
+    "gen_chain": "(k: 'int') -> 'Pfa'",
+    "gen_grid": "(d: 'int', k: 'int') -> 'Pfa'",
+    "gen_padded": "(d: 'int', n: 'int') -> 'Pfa'",
+    "gen_random": "(n: 'int', letter_count: 'int', density: 'float', seed: 'int') -> 'Pfa'",
+    "gen_witness": "() -> 'Pfa'",
+    "grid_fact_violations": "(pfa: 'Pfa', d: 'int', k: 'int') -> 'list[str]'",
+    "grid_word": "(d: 'int', k: 'int') -> 'tuple[int, ...]'",
+    "grid_word_claimed_length": "(d: 'int', k: 'int') -> 'int'",
+    "grid_word_length": "(d: 'int', k: 'int') -> 'int'",
+    "is_careful_sync_word": "(pfa: 'Pfa', word: 'Sequence[int]') -> 'tuple[bool, int | None]'",
+    "is_class_preserving": "(pfa: 'Pfa', letter: 'int', partition: 'Partition') -> 'bool'",
+    "kernel_partition": "(pfa: 'Pfa', letter: 'int') -> 'Partition'",
+    "lift_word": "(rec: 'TransformRecord', base_word: 'Sequence[int]') -> 'tuple[int, ...]'",
+    "lifted_cerny_measurement": "(d: 'int', n: 'int') -> 'LiftedCernyMeasurement'",
+    "LiftedCernyMeasurement": "(d: 'int', n: 'int', base_word_length: 'int', word_length: 'int',"
+                              " synchronizes: 'bool', lower_bound_ok: 'bool') -> None",
+    "load_document": "(text: 'str') -> 'tuple[Pfa, str | None]'",
+    "min_alt_reps": "(n: 'int') -> 'int | None'",
+    "parse_family": "(text: 'str') -> 'FamilySpec'",
+    "parse_word": "(letters: 'Sequence[str]', text: 'str') -> 'tuple[int, ...]'",
+    "ParseError": None,
+    "Partition": "(classes: 'tuple[int, ...]', class_of: 'tuple[int, ...]') -> None",
+    "Pfa": "(letters: 'tuple[str, ...]', delta: 'tuple[tuple[int | None, ...], ...]',"
+           " state_names: 'tuple[str, ...] | None' = None) -> None",
+    "reachable_subset_count": "(pfa: 'Pfa', start: 'int | None' = None,"
+                              " max_subsets: 'int' = 16777216) -> 'int'",
+    "run_word": "(pfa: 'Pfa', s: 'int', word: 'Sequence[int]') -> 'RunResult'",
+    "RunResult": "(final: 'int | None', trace: 'tuple[int, ...]',"
+                 " undefined_at: 'int | None' = None) -> None",
+    "SearchResult": "(word: 'tuple[int, ...]', visited_subsets: 'int',"
+                    " synchronized_state: 'int') -> None",
+    "shortest_careful_word": "(pfa: 'Pfa', start: 'int | None' = None,"
+                             " max_subsets: 'int' = 16777216) -> 'SearchResult | None'",
+    "states_from_bits": "(mask: 'int') -> 'tuple[int, ...]'",
+    "subset_distance": "(pfa: 'Pfa', src: 'int', dst: 'int',"
+                       " max_subsets: 'int' = 16777216) -> 'int | None'",
+    "sweep": "(specs: 'Sequence[FamilySpec]', max_subsets: 'int' = 16777216) -> 'list[SweepRow]'",
+    "sweep_csv": "(rows: 'Sequence[SweepRow]', include_timings: 'bool' = False) -> 'str'",
+    "SweepRow": "(spec: 'str', d: 'int | None', size: 'int | None', states: 'int',"
+                " bfs_status: 'str', bfs_length: 'int | None', builder_length: 'int | None',"
+                " claimed_length: 'int | None', visited_subsets: 'int',"
+                " wall_time_s: 'float') -> None",
+    "total_merging_letter": "(pfa: 'Pfa') -> 'int | None'",
+    "transform": "(d: 'int', base: 'Pfa') -> 'TransformRecord'",
+    "TransformRecord": "(base: 'Pfa', d: 'int', result: 'Pfa',"
+                       " letter_map: 'tuple[int, ...]') -> None",
+    "validate": "(pfa: 'Pfa') -> 'list[str]'",
+    "ValidationError": "(diagnostics: 'list[str]')",
+}
+
+
+def _signature(obj) -> str | None:
+    try:
+        return str(inspect.signature(obj))
+    except ValueError:  # no signature: a builtin constructor
+        return None
+
+
+def test_public_signatures():
+    exported = {name: obj for name, obj in vars(carefulsync).items()
+                if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))}
+    assert {name: _signature(obj) for name, obj in exported.items()} == SIGNATURES

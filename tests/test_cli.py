@@ -34,6 +34,21 @@ def test_solve_with_oracle(capsys):
     assert "oracle: length 10 (agree)" in capsys.readouterr().out
 
 
+def test_solve_oracle_over_its_budget(capsys):
+    # about 2^18 prefixes: over this budget, well within the default one
+    assert main(["solve", "cerny:n=5", "--max-wordlen", "16", "--max-subsets", "1000"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget exhausted" in captured.err
+
+
+def test_solve_oracle_negative_length(capsys):
+    assert main(["solve", "witness", "--max-wordlen", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "negative" in captured.err
+
+
 def test_solve_not_synchronizing(capsys):
     assert main(["solve", "random:n=3,l=2,p=0.0,seed=5"]) == 3
 
@@ -114,6 +129,12 @@ def test_check_word_that_loops_is_not_forced(capsys):
     assert "word-forced-path: PASS (path is forced)" in capsys.readouterr().out
 
 
+def test_check_empty_word_is_checked(capsys):
+    assert main(["check", "grid:d=2,k=2", "--word", ""]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("word-verifies: FAIL (does not carefully synchronize)\n")
+
+
 def test_word_input_over_the_word_budget(capsys):
     for word in ("c1^1000001", "c1^600000 c1^600000"):
         for argv in (["verify", "cerny:n=4"], ["check", "cerny:n=4"],
@@ -171,23 +192,11 @@ def test_words_cerny(capsys):
     assert "two-phase-minimal-r: 2" in out
 
 
-def test_words_cerny_override(capsys):
-    assert main(["words", "--family", "cerny:n=4", "--r-override", "1"]) == 0
-    assert "two-phase-verifies: no" in capsys.readouterr().out
-
-
 def test_words_cerny_two_states_has_no_two_phase_word(capsys):
     assert main(["words", "--family", "cerny:n=2"]) == 0
     out = capsys.readouterr().out
     assert "classic-word: c1\n" in out
     assert out.endswith("two-phase-minimal-r: none\n")
-
-
-def test_words_cerny_two_states_override_rejected(capsys):
-    assert main(["words", "--family", "cerny:n=2", "--r-override", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "n must be at least 3" in captured.err
 
 
 def test_words_no_builder(capsys):
@@ -246,6 +255,7 @@ def test_removed_options_are_rejected(capsys):
     # The seed lives in the spec string; the errata's searches are fixed.
     assert main(["gen", "--family", "random:n=3,l=2,p=1.0,seed=1", "--seed", "9"]) == 2
     assert main(["errata", "--max-subsets", "5"]) == 2
+    assert main(["words", "--family", "cerny:n=6", "--r-override", "3"]) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -262,7 +272,7 @@ def test_option_surface():
         "solve": {"--max-subsets", "--max-wordlen"},
         "verify": {"--word"},
         "check": {"--word"},
-        "words": {"--family", "--r-override"},
+        "words": {"--family"},
         "transform": {"--d", "--word", "--out"},
         "sweep": {"--family", "--out", "--max-subsets", "--timings"},
         "export-dot": {"--out"},

@@ -35,7 +35,6 @@ COMMANDS = [
         ["export-dot", spec],
     )
 ] + [
-    ["words", "--family", "cerny:n=6", "--r-override", "3"],
     ["sweep"] + [a for spec in SPECS for a in ("--family", spec)],
     ["sweep", "--max-subsets", "5"] + [a for spec in SPECS for a in ("--family", spec)],
     ["errata"],
@@ -90,7 +89,6 @@ GOLDEN = {
     'check random:n=6,l=3,p=0.7,seed=3': (1, '6a9bc4e7e1d92364fa2b364a4a61d424f1687676dc651b8822b1a5c60e6b6c6f'),
     'solve random:n=6,l=3,p=0.7,seed=3': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'export-dot random:n=6,l=3,p=0.7,seed=3': (0, '1a109f942fd92c03568a357c5f65e3d35d720ba2780666ed515bf8cbe2e38ab1'),
-    'words --family cerny:n=6 --r-override 3': (0, '72c890c59faf23e29175d126fc721274b5a0dd860c8155cd8fbe7fcfec8dbb78'),
     'sweep --family witness --family grid:d=2,k=1 --family grid:d=3,k=4 --family cerny:n=2 --family cerny:n=5 --family chain:k=5 --family padded:d=3,n=7 --family padded:d=4,n=5 --family random:n=6,l=3,p=0.7,seed=3': (0, '22dd938551668c9d13adcb6537294601bd9f73ca7bafe67f9a5134104fff2032'),
     'sweep --max-subsets 5 --family witness --family grid:d=2,k=1 --family grid:d=3,k=4 --family cerny:n=2 --family cerny:n=5 --family chain:k=5 --family padded:d=3,n=7 --family padded:d=4,n=5 --family random:n=6,l=3,p=0.7,seed=3': (0, 'd20c2cfb014f6b9bf38b015287719b9455c5b568116857762b19c2fab764e2c5'),
     'errata': (0, 'de590aee1dc9be7cbf38ad6316771fafa92ae03b02b6942888d2b49b87d20c08'),

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -115,6 +116,34 @@ def test_brute_force_vs_bfs_on_random_corpus():
 
 def test_brute_force_and_bfs_agree_on_witness_word():
     assert brute_force_shortest(gen_witness(), 12) == shortest_careful_word(gen_witness()).word
+
+
+def test_brute_force_budget():
+    with pytest.raises(CapExceeded) as err:
+        brute_force_shortest(gen_cerny(6), 25, max_subsets=1000)
+    assert err.value.visited == 1001
+
+
+def test_brute_force_negative_length_rejected():
+    with pytest.raises(ValueError):
+        brute_force_shortest(gen_witness(), -1)
+
+
+def test_brute_force_needs_no_recursion():
+    # One letter moves every state of a path one step down, so the only
+    # word is n-1 letters long, deeper than the lowered recursion limit.
+    n = 150
+    path = Pfa(("a",), tuple((max(q - 1, 0),) for q in range(n)))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        word = brute_force_shortest(path, n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert word == (0,) * (n - 1)
 
 
 def test_bfs_word_always_verifies():

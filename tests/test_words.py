@@ -72,6 +72,11 @@ def test_claimed_exceeds_builder_by_k_minus_1():
         assert grid_word_claimed_length(d, k) - grid_word_length(d, k) == k - 1
 
 
+def test_claimed_length_is_the_exact_quotient():
+    for d, k in itertools.product(range(2, 13), range(2, 13)):
+        assert (d - 1) * grid_word_claimed_length(d, k) == d ** (k + 1) + (d - 1) * k - d * d
+
+
 def test_word_builder_params():
     with pytest.raises(ValueError):
         grid_word(2, 1)
@@ -89,7 +94,7 @@ def test_cerny_word():
 
 
 def test_alt_word_shape():
-    w = cerny_alt_word(4)  # default tail count 1
+    w = cerny_alt_word(4, 1)
     assert w == (0, 1, 1) * 2 + (0, 1, 1, 1) + (0,)
     assert len(w) == 11
     assert len(cerny_alt_word(6, 4)) == 3 * 3 + 4 * 6 + 1
@@ -97,7 +102,7 @@ def test_alt_word_shape():
 
 def test_alt_word_default_fails_even_n4():
     auto = gen_cerny(4)
-    res = run_word(auto, auto.full_set(), cerny_alt_word(4))
+    res = run_word(auto, auto.full_set(), cerny_alt_word(4, 1))  # the published tail count
     assert res.ok
     assert res.final == bits_from_states([1, 2])  # two states left, no reset
 
@@ -109,25 +114,26 @@ def test_alt_word_repaired_n4():
 
 def test_alt_word_negative_reps():
     with pytest.raises(ValueError):
-        cerny_alt_word(3)  # default tail count would be -1
+        cerny_alt_word(3, -1)  # the published tail count for n = 3
+    with pytest.raises(ValueError):
+        cerny_alt_word(2, 0)  # no two-phase word below three states
     assert len(cerny_alt_word(3, 0)) == 7
 
 
 def test_min_alt_reps_values():
-    assert min_alt_reps(4, 10) == 2
-    assert min_alt_reps(6, 10) == 4
-    assert min_alt_reps(3, 5) == 0
-    assert min_alt_reps(4, 0) is None
-    assert min_alt_reps(4, 1) is None
+    assert min_alt_reps(4) == 2
+    assert min_alt_reps(6) == 4
+    assert min_alt_reps(3) == 0
+    assert min_alt_reps(2) is None
 
 
 def test_min_alt_reps_matches_the_per_r_definition():
     for n in range(3, 31):
         auto = gen_cerny(n)
-        for r_max in (0, 1, 2 * n):
-            expected = next((r for r in range(r_max + 1)
-                             if is_careful_sync_word(auto, cerny_alt_word(n, r))[0]), None)
-            assert min_alt_reps(n, r_max) == expected, (n, r_max)
+        expected = next((r for r in range(2 * n + 1)
+                         if is_careful_sync_word(auto, cerny_alt_word(n, r))[0]), None)
+        assert min_alt_reps(n) == expected, n
+        assert expected <= n - 2, n
 
 
 def test_digit_subset_base3_example():
