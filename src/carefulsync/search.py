@@ -20,16 +20,21 @@ from .core import Pfa, compile_letters, image, images
 
 DEFAULT_MAX_SUBSETS = 1 << 24
 
-# Up to this many states the visited table can be a flat bytearray over all
-# 2^n subsets; above it, it is a hash table.
+# A search starts on a hash table.  Up to this many states it moves to a
+# flat bytearray over all 2^n subsets once the hash table would take as many
+# bytes; above it, it stays hashed.
 FLAT_TABLE_LIMIT = 24
 
 
 class CapExceeded(RuntimeError):
-    """Raised when a search would visit more subsets than its budget."""
+    """Raised when a search would visit more subsets than its budget.
 
-    def __init__(self, visited: int):
-        super().__init__(f"subset budget exhausted after visiting {visited} subsets")
+    ``visited`` counts what the search counted against the budget, named by
+    ``unit``: subsets for the BFS, word prefixes for the enumeration oracle.
+    """
+
+    def __init__(self, visited: int, unit: str = "subsets"):
+        super().__init__(f"subset budget exhausted after visiting {visited} {unit}")
         self.visited = visited
 
 
@@ -73,13 +78,14 @@ def _bfs(
     tables = compile_letters(pfa)
     t0, t1, t2, t3, *wide = tables
     wide = [(tab, 8 * j) for j, tab in enumerate(wide, 4)]
-    # One byte per possible subset is used only while that is no more than a
-    # hash table filled to the budget takes, at about 64 bytes per entry.
-    # Either table reads 1 for a discovered subset and for -1 ("undefined",
-    # the flat table's extra last byte), 2 for a goal not yet discovered and
-    # 0 otherwise, so a probe is one lookup.
-    flat = n <= FLAT_TABLE_LIMIT and 1 << n <= 64 * max_subsets
-    seen = bytearray((1 << n) + 1) if flat else defaultdict(int)
+    # The visited table reads 1 for a discovered subset and for -1
+    # ("undefined"), 2 for a goal not yet discovered and 0 otherwise, so a
+    # probe is one lookup.  It starts as a hash table, at about 64 bytes per
+    # entry.  For n <= FLAT_TABLE_LIMIT it moves to one byte per possible
+    # subset (-1 on the extra last byte) once it holds 2^n / 64 subsets,
+    # which the budget check below folds in as a lower ``limit``.
+    seen = defaultdict(int)
+    limit = min(max_subsets, (1 << n) >> 6) if n <= FLAT_TABLE_LIMIT else max_subsets
     for g in goals:
         seen[g] = 2
     seen[-1] = seen[start] = 1
@@ -104,8 +110,13 @@ def _bfs(
                     continue
                 seen[t] = 1
                 count += 1
-                if count > max_subsets:
-                    raise CapExceeded(count)
+                if count > limit:
+                    if count > max_subsets:
+                        raise CapExceeded(count)
+                    flat = bytearray((1 << n) + 1)
+                    for u, w in seen.items():
+                        flat[u] = w
+                    seen, limit = flat, max_subsets
                 push(t)
                 push_parent(i)
                 if v:
@@ -215,7 +226,7 @@ def brute_force_shortest(
                 else:
                     count += 1
                     if count > max_subsets:
-                        raise CapExceeded(count)
+                        raise CapExceeded(count, "word prefixes")
                     stack.append((tuple(nxt), k, a))
     return None
 

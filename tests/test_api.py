@@ -15,7 +15,7 @@ SIGNATURES = {
     "bits_from_states": "(states: 'Iterable[int]') -> 'int'",
     "brute_force_shortest": "(pfa: 'Pfa', max_len: 'int', max_subsets: 'int' = 16777216)"
                             " -> 'tuple[int, ...] | None'",
-    "CapExceeded": "(visited: 'int')",
+    "CapExceeded": "(visited: 'int', unit: 'str' = 'subsets')",
     "cerny_alt_word": "(n: 'int', r: 'int') -> 'tuple[int, ...]'",
     "cerny_word": "(n: 'int') -> 'tuple[int, ...]'",
     "check_battery": "(pfa: 'Pfa', spec: 'FamilySpec | None' = None,"

@@ -40,6 +40,7 @@ def test_solve_oracle_over_its_budget(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "budget exhausted" in captured.err
+    assert captured.err.endswith("after visiting 1001 word prefixes\n")
 
 
 def test_solve_oracle_negative_length(capsys):

@@ -122,6 +122,7 @@ def test_brute_force_budget():
     with pytest.raises(CapExceeded) as err:
         brute_force_shortest(gen_cerny(6), 25, max_subsets=1000)
     assert err.value.visited == 1001
+    assert str(err.value) == "subset budget exhausted after visiting 1001 word prefixes"
 
 
 def test_brute_force_negative_length_rejected():
@@ -481,6 +482,19 @@ def test_flat_and_hash_tables_agree(monkeypatch):
         gen_random(n, l, p, seed)
         for n, l, p, seed in itertools.product((2, 3, 4), (1, 2, 3), (0.5, 0.8), (0, 1, 2))
     ] + [gen_cerny(10)]
+    # cerny:n=10 moves to the flat table on discovering its 17th subset, the
+    # fourth of the six on level 7; the 17th and 18th as goals are found on
+    # the probe that moves and on the one after it
+    levels = _naive_bfs(gen_cerny(10))[0]
+    order = list(levels)
+    assert levels[order[13]] == levels[order[16]] == levels[order[18]] == 7
+    moving_goals = [bits_from_states(order[16]), bits_from_states(order[17])]
+
+    def capped(search_fn, pfa, cap):
+        try:
+            return search_fn(pfa, max_subsets=cap)
+        except CapExceeded as e:
+            return ("cap", e.visited)
 
     def outcomes():
         out = []
@@ -490,12 +504,13 @@ def test_flat_and_hash_tables_agree(monkeypatch):
             # marked goals that are reached, unreachable, or not singletons
             full = pfa.full_set()
             out.append([subset_distance(pfa, full, dst) for dst in range(1, 1 << min(pfa.n, 4))])
-            # budgets of 16 and up keep cerny:n=10 on the flat table
-            for cap in (1, 3, 16, 100):
-                try:
-                    out.append(shortest_careful_word(pfa, max_subsets=cap))
-                except CapExceeded as e:
-                    out.append(("cap", e.visited))
+            # cerny:n=10 moves once it holds 2^10 / 64 = 16 subsets, so caps
+            # of 16, 17 and 18 stop the search just before and just after
+            for cap in (1, 3, 16, 17, 18, 100):
+                out.append(capped(shortest_careful_word, pfa, cap))
+                out.append(capped(reachable_subset_count, pfa, cap))
+        out.append([subset_distance(gen_cerny(10), gen_cerny(10).full_set(), dst)
+                    for dst in moving_goals])
         return out
 
     flat = outcomes()
@@ -542,8 +557,8 @@ def test_reachable_count_keeps_only_two_levels():
 
 
 def test_budget_bounds_visited_table():
-    # 24 states fit the flat table, but a budget of 3 subsets must not pay
-    # for all 2^24 of them
+    # 24 states may move to the flat table, but a budget of 3 subsets stops
+    # the search on the hash table, long before 2^24 bytes would pay
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded) as err:
@@ -553,3 +568,46 @@ def test_budget_bounds_visited_table():
         tracemalloc.stop()
     assert err.value.visited == 4
     assert peak < 1 << 20
+
+
+def test_table_moves_once_it_would_be_as_big(monkeypatch):
+    sizes = []
+
+    def spy(size):
+        sizes.append(size)
+        return bytearray(size)
+
+    monkeypatch.setattr(search, "bytearray", spy, raising=False)
+
+    def tables(pfa, cap=search.DEFAULT_MAX_SUBSETS):
+        sizes.clear()
+        try:
+            shortest_careful_word(pfa, max_subsets=cap)
+        except CapExceeded:
+            pass
+        return list(sizes)
+
+    # cerny:n=10 holds 16 subsets before the 17th moves it
+    assert tables(gen_cerny(10), 16) == []
+    assert tables(gen_cerny(10), 17) == [(1 << 10) + 1]
+    assert tables(gen_cerny(10)) == [(1 << 10) + 1]
+    # 8,190 of 2^24 subsets: too few to move
+    assert tables(gen_grid(2, 12)) == []
+    # 25 states stay hashed however many subsets they visit
+    assert tables(gen_grid(5, 5)) == []
+
+
+def test_sparse_search_stays_hashed_whatever_the_budget():
+    # 24 states but 8,190 subsets: a flat table would add 16 MiB.  The
+    # peaks differ only by a few bytes of first-call allocations.
+    peaks = []
+    for cap in (10_000, 1 << 24, 1 << 30):
+        tracemalloc.start()
+        try:
+            found = shortest_careful_word(gen_grid(2, 12), max_subsets=cap)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert found.visited_subsets == 8190
+    assert max(peaks) < 2 << 20
+    assert max(peaks) - min(peaks) < 64 << 10
