@@ -80,10 +80,9 @@ def _bfs(
     wide = [(tab, 8 * j) for j, tab in enumerate(wide, 4)]
     # The visited table reads 1 for a discovered subset and for -1
     # ("undefined"), 2 for a goal not yet discovered and 0 otherwise, so a
-    # probe is one lookup.  It starts as a hash table, at about 64 bytes per
-    # entry.  For n <= FLAT_TABLE_LIMIT it moves to one byte per possible
-    # subset (-1 on the extra last byte) once it holds 2^n / 64 subsets,
-    # which the budget check below folds in as a lower ``limit``.
+    # probe is one lookup.  It starts hashed, at about 64 bytes per entry;
+    # the budget check also moves it to the flat table (-1 on the extra
+    # last byte) once it holds 2^n / 64 subsets.
     seen = defaultdict(int)
     limit = min(max_subsets, (1 << n) >> 6) if n <= FLAT_TABLE_LIMIT else max_subsets
     for g in goals:
