@@ -151,6 +151,25 @@ def compile_letters(pfa: Pfa) -> list[list[tuple[int, ...]]]:
     return tables
 
 
+def compile_domains(pfa: Pfa) -> list[list[int]]:
+    """The letters defined on each row of :func:`compile_letters`, as bitmasks.
+
+    Bit ``a`` of ``compile_domains(pfa)[j][c]`` is set when letter ``a`` is
+    defined on every state ``8j + i`` whose bit ``i`` is set in ``c``, so
+    the AND of a subset's chunk rows is the set of letters defined on it.
+    Chunks match :func:`compile_letters` one for one.
+    """
+    every = (1 << len(pfa.letters)) - 1
+    domains = []
+    for lo in range(0, max(pfa.n, 32), 8):
+        rows = [every]
+        for q in range(lo, min(lo + 8, pfa.n)):
+            defined = sum(1 << a for a, t in enumerate(pfa.delta[q]) if t is not None)
+            rows += [row & defined for row in rows]
+        domains.append(rows)
+    return domains
+
+
 def image(tables: list[list[tuple[int, ...]]], letter: int, s: int) -> int | None:
     """Image of the subset ``s`` under ``letter``, from :func:`compile_letters`.
 
@@ -162,21 +181,6 @@ def image(tables: list[list[tuple[int, ...]]], letter: int, s: int) -> int | Non
         out |= tab[s & 255][letter]
         s >>= 8
     return None if out < 0 else out
-
-
-def images(tables: list[list[tuple[int, ...]]], s: int) -> tuple[int, ...]:
-    """Every letter's image of the subset ``s``, from :func:`compile_letters`.
-
-    Entry ``a`` is the image under letter ``a``, or -1 when ``a`` is
-    undefined on some member of ``s`` (-1 survives every OR of chunk rows).
-    """
-    row = tables[0][s & 255]
-    for tab in tables[1:]:
-        s >>= 8
-        if not s:
-            break
-        row = tuple(map(or_, row, tab[s & 255]))
-    return row
 
 
 @dataclass(frozen=True)

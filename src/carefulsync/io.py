@@ -12,6 +12,7 @@ import json
 from collections import defaultdict
 
 from .core import Pfa, validate
+from .families import MAX_TABLE_ENTRIES
 
 FORMAT_VERSION = 1
 
@@ -47,7 +48,11 @@ def automaton_to_json(pfa: Pfa, family: str | None = None) -> str:
 
 
 def load_document(text: str) -> tuple[Pfa, str | None]:
-    """Parse a document; returns the automaton and its metadata string."""
+    """Parse a document; returns the automaton and its metadata string.
+
+    A table of more than :data:`~carefulsync.families.MAX_TABLE_ENTRIES`
+    entries (states times letters) is rejected before its rows are read.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -63,6 +68,10 @@ def load_document(text: str) -> tuple[Pfa, str | None]:
     states = doc.get("states")
     if not isinstance(states, int) or isinstance(states, bool):
         raise ParseError("field 'states' must be an integer")
+    entries = states * len(letters)
+    if entries > MAX_TABLE_ENTRIES:
+        raise ParseError(f"document has {entries} table entries "
+                         f"(states times letters), over the limit of {MAX_TABLE_ENTRIES}")
     delta = doc.get("delta")
     if not isinstance(delta, list):
         raise ParseError("field 'delta' must be a list of per-state rows")

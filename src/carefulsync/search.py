@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import or_
 from typing import AbstractSet, Sequence
 
-from .core import Pfa, compile_letters, image, images
+from .core import Pfa, compile_domains, compile_letters, image
 
 DEFAULT_MAX_SUBSETS = 1 << 24
 
@@ -30,7 +30,8 @@ class CapExceeded(RuntimeError):
     """Raised when a search would visit more subsets than its budget.
 
     ``visited`` counts what the search counted against the budget, named by
-    ``unit``: subsets for the BFS, word prefixes for the enumeration oracle.
+    ``unit``: subsets for the BFS, state steps (one per state of each
+    extended prefix) for the enumeration oracle.
     """
 
     def __init__(self, visited: int, unit: str = "subsets"):
@@ -193,20 +194,22 @@ def brute_force_shortest(
     individually.  Returns ``None`` when no word of length at most
     ``max_len`` works.  Intended for tiny instances only; agrees with
     :func:`shortest_careful_word` wherever both apply.  A negative
-    ``max_len`` raises ValueError, and :class:`CapExceeded` is raised once
-    more than ``max_subsets`` prefixes have been extended.
+    ``max_len`` raises ValueError.  Each extended prefix costs one state
+    step per state, and :class:`CapExceeded` is raised once more than
+    ``max_subsets`` state steps have been taken, so the budget bounds the
+    time whatever the number of states.
     """
     if max_len < 0:
         raise ValueError(f"word length bound {max_len} is negative")
     # Each letter's column of the table, highest letter first, so that the
     # least letter's extension is pushed last and popped first.
     columns = [(a, tuple(row[a] for row in pfa.delta)) for a in range(len(pfa.letters))][::-1]
-    count = 0
+    n, count = pfa.n, 0
     for depth in range(max_len + 1):
         # Depth-first over the words of this length.  An entry is a prefix's
         # state vector, its length k and its last letter, kept in ``word[k]``.
         word = [0] * (depth + 1)
-        stack = [(tuple(range(pfa.n)), 0, 0)]
+        stack = [(range(n), 0, 0)]
         while stack:
             vec, k, last = stack.pop()
             word[k] = last
@@ -216,17 +219,12 @@ def brute_force_shortest(
                 continue
             k += 1
             for a, col in columns:
-                nxt = []
-                for q in vec:
-                    t = col[q]
-                    if t is None:
-                        break
-                    nxt.append(t)
-                else:
-                    count += 1
+                nxt = [col[q] for q in vec]
+                if None not in nxt:
+                    count += n
                     if count > max_subsets:
-                        raise CapExceeded(count, "word prefixes")
-                    stack.append((tuple(nxt), k, a))
+                        raise CapExceeded(count, "state steps")
+                    stack.append((nxt, k, a))
     return None
 
 
@@ -260,25 +258,47 @@ def forced_path_check(
     if not 0 < cur < 1 << pfa.n:
         raise ValueError(f"start set {cur:#x} must be a nonempty subset of {pfa.n} states")
     tables = compile_letters(pfa)
+    chunks = list(zip(tables, compile_domains(pfa)))
     width = range(len(pfa.letters))
-    # Subsets on the path so far, and -1 so that undefined letters never
-    # count as leading somewhere new.  Past the first unforced step the walk
-    # only checks the word.
-    seen = {-1}
+    # Subsets on the path so far.  Past the first unforced step the walk
+    # only applies the word.
+    seen = set()
     step, forced = None, True
     for pos, letter in enumerate(word):
         if letter not in width:
             raise ValueError(f"letter index {letter} out of range")
-        row = images(tables, cur)
-        nxt = row[letter]
-        if nxt < 0:
+        if not forced:
+            nxt = image(tables, letter, cur)
+        else:
+            # The letters defined on ``cur`` and its nonempty chunk rows;
+            # only those letters' images are ORed, inline as in the kernel.
+            defined, s, rows = -1, cur, []
+            while s:
+                tab, dom = chunks[len(rows)]
+                defined &= dom[s & 255]
+                rows.append(tab[s & 255])
+                s >>= 8
+            nxt = None
+            if defined >> letter & 1:
+                seen.add(cur)
+                new = []
+                while defined:
+                    low = defined & -defined
+                    defined ^= low
+                    a, t = low.bit_length() - 1, 0
+                    for row in rows:
+                        t |= row[a]
+                    if a == letter:
+                        nxt = t
+                    if t not in seen:
+                        new.append(t)
+                if new != [nxt]:
+                    forced = False
+                    out = [image(tables, a, cur) for a in width]
+                    fresh = tuple(a for a in width if out[a] is not None and out[a] not in seen)
+                    step = ForcedStep(pos, cur, fresh, tuple(a for a in width if out[a] is None),
+                                      tuple(a for a in width if out[a] in seen))
+        if nxt is None:
             raise ValueError(f"word is not defined from the start set (undefined at {pos})")
-        if forced:
-            seen.add(cur)
-            if set(row) - seen != {nxt} or row.count(nxt) != 1:
-                forced = False
-                step = ForcedStep(pos, cur, tuple(a for a in width if row[a] not in seen),
-                                  tuple(a for a in width if row[a] < 0),
-                                  tuple(a for a in width if row[a] >= 0 and row[a] in seen))
         cur = nxt
     return step

@@ -35,12 +35,13 @@ def test_solve_with_oracle(capsys):
 
 
 def test_solve_oracle_over_its_budget(capsys):
-    # about 2^18 prefixes: over this budget, well within the default one
+    # about 2^18 prefixes of 5 state steps each: over this budget, well
+    # within the default one
     assert main(["solve", "cerny:n=5", "--max-wordlen", "16", "--max-subsets", "1000"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "budget exhausted" in captured.err
-    assert captured.err.endswith("after visiting 1001 word prefixes\n")
+    assert captured.err.endswith("after visiting 1005 state steps\n")
 
 
 def test_solve_oracle_negative_length(capsys):
@@ -154,6 +155,15 @@ def test_transform_over_the_table_limit(tmp_path, capsys):
     assert captured.out == ""
     assert "3200000 table entries" in captured.err
     assert not path.exists()
+
+
+def test_document_over_the_table_limit(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"format_version": 1, "letters": ["a"], "states": 1048577, "delta": []}')
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1048577 table entries" in captured.err
 
 
 def test_transform_lifted_word_over_the_word_budget(capsys):

@@ -19,7 +19,7 @@ from carefulsync import (
     total_merging_letter,
     validate,
 )
-from carefulsync.core import compile_letters, image, images
+from carefulsync.core import compile_domains, compile_letters, image
 
 WITNESS_DELTA = (
     (1, None, 1),
@@ -189,26 +189,32 @@ def test_apply_set_is_pure():
     assert run_word(pfa, 0b1111, (0,)).final == run_word(pfa, 0b1111, (0,)).final
 
 
-def test_images_match_image_for_every_letter():
+def test_domains_match_image_for_every_letter():
     # n = 8, 9, 32, 33, 40 put members on both sides of chunk boundaries,
-    # and n = 33, 40 need the chunks beyond the first four.
+    # and n = 33, 40 need the chunks beyond the first four; the letterless
+    # automata have an empty domain everywhere.
     rng = random.Random(6)
+    pfas = [gen_random(n, 1 + seed * 9, 0.97, seed)
+            for n, seed in itertools.product((1, 7, 8, 9, 31, 32, 33, 40), range(4))]
+    pfas += [Pfa((), ((),) * n) for n in (1, 9, 33)]
     undefined = defined = 0
-    for n, seed in itertools.product((1, 7, 8, 9, 31, 32, 33, 40), range(4)):
-        pfa = gen_random(n, 1 + seed, 0.97, seed)
-        tables = compile_letters(pfa)
+    for pfa in pfas:
+        n, tables, domains = pfa.n, compile_letters(pfa), compile_domains(pfa)
+        assert [len(dom) for dom in domains] == [len(tab) for tab in tables]
         subsets = {pfa.full_set(), 1 << (n - 1)}
         subsets |= {rng.getrandbits(n) or 1 for _ in range(50)}
         subsets |= {sum(1 << q for q in rng.sample(range(n), rng.randint(1, min(n, 4))))
                     for _ in range(50)}
         for s in subsets:
-            row = images(tables, s)
-            assert len(row) == len(pfa.letters)
-            for a, t in enumerate(row):
-                expect = image(tables, a, s)
-                assert t == (-1 if expect is None else expect)
-                undefined += expect is None
-                defined += expect is not None
+            mask = -1
+            for j, dom in enumerate(domains):
+                mask &= dom[s >> 8 * j & 255]
+            assert 0 <= mask < 1 << len(pfa.letters)
+            for a in range(len(pfa.letters)):
+                expect = image(tables, a, s) is not None
+                assert bool(mask >> a & 1) == expect
+                undefined += not expect
+                defined += expect
     assert undefined and defined
 
 

@@ -68,6 +68,17 @@ def test_parse_rejects_row_count_mismatch():
         automaton_from_json(json.dumps(doc))
 
 
+def test_parse_rejects_a_table_over_the_limit_before_its_rows():
+    # 2^19 states times 2 letters is the limit; past it the rows are not read
+    header = {"format_version": 1, "letters": ["a", "b"], "delta": None}
+    with pytest.raises(ParseError, match="must be a list of per-state rows"):
+        load_document(json.dumps({**header, "states": 1 << 19}))
+    with pytest.raises(ParseError) as err:
+        load_document(json.dumps({**header, "states": (1 << 19) + 1}))
+    assert str(err.value) == ("document has 1048578 table entries (states times letters), "
+                              "over the limit of 1048576")
+
+
 def test_parse_rejects_non_object():
     with pytest.raises(ParseError):
         automaton_from_json("[1, 2]")

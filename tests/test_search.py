@@ -121,8 +121,21 @@ def test_brute_force_and_bfs_agree_on_witness_word():
 def test_brute_force_budget():
     with pytest.raises(CapExceeded) as err:
         brute_force_shortest(gen_cerny(6), 25, max_subsets=1000)
-    assert err.value.visited == 1001
-    assert str(err.value) == "subset budget exhausted after visiting 1001 word prefixes"
+    # each prefix costs one step per state, 6 here
+    assert err.value.visited == 1002
+    assert str(err.value) == "subset budget exhausted after visiting 1002 state steps"
+
+
+def test_brute_force_budget_bounds_time_on_many_states():
+    # One letter moves every state of a path one step down.  Its word is
+    # 1,099 letters long, and the 604,000 prefixes of the iterative deepening
+    # up to that length stay under the default budget, but their state
+    # steps do not.
+    n = 1100
+    path = Pfa(("a",), tuple((max(q - 1, 0),) for q in range(n)))
+    with pytest.raises(CapExceeded) as err:
+        brute_force_shortest(path, n)
+    assert err.value.visited == 1100 * (search.DEFAULT_MAX_SUBSETS // 1100 + 1)
 
 
 def test_brute_force_negative_length_rejected():
@@ -321,9 +334,21 @@ def test_forced_path_matches_the_two_pass_definition():
               (g, word[:2] + (-1,) + word[2:], None), (g, word + (len(g.letters),), None),
               (g, (3,) + word, None), (g, word[:2] + (5, 3) + word[2:], None),
               (g, word[:2] + (3,) + word[2:], None), (g, (), None), (g, (), 0)]
+    # a copy of a letter: where the word's letter leads somewhere new, so
+    # does its copy, to the same subset
+    def with_copy(pfa, a):
+        return Pfa(pfa.letters + ("copy",), tuple(row + (row[a],) for row in pfa.delta))
+
+    cases += [(with_copy(g, a), word, None) for a in range(len(g.letters))]
+    # small automata, then 33 to 40 states (chunks past the first four) over
+    # 9 to 30 letters, one of them a copy
     rng = random.Random(6)
-    for seed in range(60):
-        pfa = gen_random(rng.randint(1, 9), rng.randint(1, 4), rng.choice((0.8, 0.95, 1.0)), seed)
+    for seed in range(72):
+        if seed < 60:
+            pfa = gen_random(rng.randint(1, 9), rng.randint(1, 4), rng.choice((0.8, 0.95, 1.0)), seed)
+        else:
+            pfa = gen_random(rng.randint(33, 40), rng.randint(8, 29), rng.choice((0.9, 0.97, 1.0)), seed)
+            pfa = with_copy(pfa, rng.randrange(len(pfa.letters)))
         tables = compile_letters(pfa)
         start = rng.choice((None, rng.randint(1, pfa.full_set())))
         for _ in range(4):
@@ -344,7 +369,15 @@ def test_forced_path_matches_the_two_pass_definition():
         outcomes.add(type(expect))
         if isinstance(expect, str):
             outcomes.add(expect.split()[0])
-    assert outcomes == {type(None), ForcedStep, str, "letter", "start", "word"}
+        elif expect is not None:
+            if pfa.n > 32:
+                outcomes.add("wide")
+            tables = compile_letters(pfa)
+            new = [image(tables, a, expect.subset) for a in expect.new_letters]
+            if len(set(new)) < len(new):
+                outcomes.add("two letters, one new subset")
+    assert outcomes == {type(None), ForcedStep, str, "letter", "start", "word", "wide",
+                        "two letters, one new subset"}
 
 
 def test_reachable_count_witness():
