@@ -209,7 +209,7 @@ def brute_force_shortest(
         # Depth-first over the words of this length.  An entry is a prefix's
         # state vector, its length k and its last letter, kept in ``word[k]``.
         word = [0] * (depth + 1)
-        stack = [(range(n), 0, 0)]
+        stack = [(list(range(n)), 0, 0)]
         while stack:
             vec, k, last = stack.pop()
             word[k] = last
