@@ -68,8 +68,11 @@ def _bfs(
     ``visited`` counts subsets discovered so far.  Letters are expanded in
     ascending index order, so ``word`` is the lexicographically least among
     the shortest.  Raises :class:`CapExceeded` once more than
-    ``max_subsets`` subsets have been discovered.
+    ``max_subsets`` subsets have been discovered, and ValueError for a
+    negative ``max_subsets``.
     """
+    if max_subsets < 0:
+        raise ValueError(f"subset budget {max_subsets} is negative")
     n = pfa.n
     start = pfa.full_set() if start is None else start
     if not 0 < start < 1 << n:
@@ -90,16 +93,22 @@ def _bfs(
         seen[g] = 2
     seen[-1] = seen[start] = 1
     count = 1
-    # Every discovered subset in BFS order and the index of its parent; the
-    # level being expanded is ``found[lo:hi]``.  Without goals no word is
-    # rebuilt, so each expanded level is dropped.
-    found, parent = [start], array("L", [0])
-    push, push_parent = found.append, parent.append
-    lo = 0
-    while lo < len(found):
-        hi = len(found)
-        for i in range(lo, hi):
-            s = found[i]
+    # Every discovered subset in BFS order and the index of its parent,
+    # packed at 8 and 4 bytes per subset unless a subset needs more than 64
+    # bits (then a list of ints) or an index more than 32 bits (then 8
+    # bytes).  A read from the packed array boxes a new int, so the level
+    # being expanded, ``found[lo:]``, is read from the plain list ``level``;
+    # the next one collects in ``nxt`` and is packed once it is done
+    # (``fromlist`` packs faster than ``extend``).  Without goals no word is
+    # rebuilt, so no level is packed and each level's parents are dropped.
+    found = array("Q", [start]) if n <= 64 else [start]
+    parent = array("I" if max_subsets < 1 << 32 else "Q", [0])
+    push_parent = parent.append
+    pack = found.fromlist if n <= 64 else found.extend
+    level, lo = [start], 0
+    while level:
+        nxt = []
+        for i, s in enumerate(level, lo):
             high = t3[s >> 24 & 255]
             for tab, shift in wide:  # states 32 and up; empty when n <= 32
                 high = tuple(map(or_, high, tab[s >> shift & 255]))
@@ -117,11 +126,12 @@ def _bfs(
                     for u, w in seen.items():
                         flat[u] = w
                     seen, limit = flat, max_subsets
-                push(t)
+                nxt.append(t)
                 push_parent(i)
                 if v:
                     # Each subset was first reached from its parent by the
                     # smallest letter mapping one to the other.
+                    pack(nxt)
                     word, j = [], len(found) - 1
                     while j:
                         s, t, j = found[parent[j]], found[j], parent[j]
@@ -130,10 +140,12 @@ def _bfs(
                             a += 1
                         word.append(a)
                     return tuple(reversed(word)), found[-1], count
-        if not goals:
-            del found[:hi], parent[:hi]
-            hi = 0
-        lo = hi
+        if goals:
+            pack(nxt)
+        else:
+            del parent[:]
+        lo += len(level)
+        level = nxt
     return None, None, count
 
 
@@ -197,10 +209,13 @@ def brute_force_shortest(
     ``max_len`` raises ValueError.  Each extended prefix costs one state
     step per state, and :class:`CapExceeded` is raised once more than
     ``max_subsets`` state steps have been taken, so the budget bounds the
-    time whatever the number of states.
+    time whatever the number of states.  A negative ``max_subsets`` raises
+    ValueError too.
     """
     if max_len < 0:
         raise ValueError(f"word length bound {max_len} is negative")
+    if max_subsets < 0:
+        raise ValueError(f"state-step budget {max_subsets} is negative")
     # Each letter's column of the table, highest letter first, so that the
     # least letter's extension is pushed last and popped first.
     columns = [(a, tuple(row[a] for row in pfa.delta)) for a in range(len(pfa.letters))][::-1]

@@ -51,6 +51,24 @@ def test_solve_oracle_negative_length(capsys):
     assert "negative" in captured.err
 
 
+def test_negative_subset_budget(capsys):
+    for args in (["solve", "cerny:n=5"], ["solve", "cerny:n=5", "--max-wordlen", "3"],
+                 ["sweep", "--family", "cerny:n=5", "--family", "witness"]):
+        assert main(args + ["--max-subsets", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: subset budget -3 is negative\n"
+
+
+def test_zero_subset_budget(capsys):
+    assert main(["solve", "cerny:n=5", "--max-subsets", "0"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: subset budget exhausted after visiting 2 subsets\n"
+    assert main(["sweep", "--family", "cerny:n=5", "--max-subsets", "0"]) == 0
+    assert "cerny:n=5,,5,5,CAP," in capsys.readouterr().out
+
+
 def test_solve_not_synchronizing(capsys):
     assert main(["solve", "random:n=3,l=2,p=0.0,seed=5"]) == 3
 

@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -90,6 +91,25 @@ def test_empty_start_rejected():
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         shortest_careful_word(gen_grid(2, 3), max_subsets=3)
+
+
+def test_negative_budget_rejected():
+    # the one-state automaton's start is already a goal, and is rejected too
+    for pfa in (gen_cerny(5), Pfa(("a",), ((0,),))):
+        for search_fn in (shortest_careful_word, reachable_subset_count):
+            with pytest.raises(ValueError, match="subset budget -1 is negative"):
+                search_fn(pfa, max_subsets=-1)
+        with pytest.raises(ValueError, match="subset budget -1 is negative"):
+            subset_distance(pfa, pfa.full_set(), 1, max_subsets=-1)
+        with pytest.raises(ValueError, match="state-step budget -1 is negative"):
+            brute_force_shortest(pfa, 3, max_subsets=-1)
+    # a budget of 0 is still a budget
+    with pytest.raises(CapExceeded) as err:
+        shortest_careful_word(gen_cerny(5), max_subsets=0)
+    assert err.value.visited == 2
+    with pytest.raises(CapExceeded) as err:
+        brute_force_shortest(gen_cerny(5), 3, max_subsets=0)
+    assert err.value.visited == 5
 
 
 def test_brute_force_agrees_on_witness():
@@ -478,20 +498,25 @@ def test_failed_search_visits_every_reachable_subset(monkeypatch):
 
 def _with_boundary_holes(pfa):
     """``pfa`` with letter 0 kept total and the other letters undefined on
-    states 7, 8, 31, 32 and the top state, on both sides of 8-bit chunk
-    boundaries."""
+    states 7, 8, 31, 32, 63, 64 and the top state, on both sides of 8-bit
+    chunk boundaries."""
     delta = [list(row) for row in pfa.delta]
-    for i, q in enumerate(sorted({7, 8, 31, 32, pfa.n - 1} & set(range(pfa.n)))):
+    for i, q in enumerate(sorted({7, 8, 31, 32, 63, 64, pfa.n - 1} & set(range(pfa.n)))):
         delta[q][1 + i % (len(pfa.letters) - 1)] = None
     return Pfa(pfa.letters, delta)
 
 
 def test_kernel_and_run_word_match_naive_images_across_chunks():
+    # 64 states fill the 64 bits of a packed subset; 65 and 72 do not fit.
+    # Their seeds pick searches of at most 25,000 subsets, some not
+    # synchronizing.
     synchronizing = set()
-    for n, seed in itertools.product((7, 8, 9, 31, 32, 33, 40), range(10)):
+    cases = list(itertools.product((7, 8, 9, 31, 32, 33, 40), range(10)))
+    cases += [(64, 0), (64, 6), (64, 8), (65, 0), (65, 6), (72, 2), (72, 5)]
+    for n, seed in cases:
         pfa = _with_boundary_holes(gen_random(n, 3 if n < 10 else 2, 1.0, seed))
         tables = compile_letters(pfa)
-        assert len(tables) == max(4, (n + 7) // 8)  # n = 33, 40: chunks beyond the unrolled four
+        assert len(tables) == max(4, (n + 7) // 8)  # n > 32: chunks beyond the unrolled four
         levels, word = _naive_bfs(pfa)
         assert reachable_subset_count(pfa) == len(levels)
         for s in levels:
@@ -503,11 +528,14 @@ def test_kernel_and_run_word_match_naive_images_across_chunks():
         assert (found and found.word) == word
         if word is not None:
             synchronizing.add(n)
+            # the naive levels are in discovery order too
+            assert found.visited_subsets == 1 + next(
+                i for i, t in enumerate(levels) if len(t) == 1)
             trace = run_word(pfa, pfa.full_set(), word).trace
             assert [levels[frozenset(states_from_bits(t))] for t in trace] == list(
                 range(len(word) + 1)
             )
-    assert synchronizing == {7, 8, 9, 31, 32, 33, 40}
+    assert synchronizing == {7, 8, 9, 31, 32, 33, 40, 64, 65, 72}
 
 
 def test_flat_and_hash_tables_agree(monkeypatch):
@@ -601,6 +629,46 @@ def test_budget_bounds_visited_table():
         tracemalloc.stop()
     assert err.value.visited == 4
     assert peak < 1 << 20
+
+
+def test_search_packs_subsets_and_parents():
+    # 65,520 subsets: 8 bytes each in the subset array, 4 in the parent
+    # array and 1 in the flat table, against about 50 as boxed ints
+    pfa = gen_cerny(16)
+    tracemalloc.start()
+    try:
+        found = shortest_careful_word(pfa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.visited_subsets == 65_520
+    assert peak < 20 * found.visited_subsets
+
+
+def test_budgets_past_32_bits_agree_with_the_default(monkeypatch):
+    # from a budget of 2^32 on, parent indices take 8 bytes instead of 4
+    itemsizes = []
+
+    def spy(typecode, *args):
+        made = array(typecode, *args)
+        itemsizes.append(made.itemsize)
+        return made
+
+    monkeypatch.setattr(search, "array", spy)
+    for pfa in (gen_cerny(10), _relabel(gen_grid(2, 6), 3)):
+        full = pfa.full_set()
+        targets = [1 << q for q in range(pfa.n)] + [full]
+
+        def outcomes(cap):
+            itemsizes.clear()
+            return (shortest_careful_word(pfa, max_subsets=cap),
+                    reachable_subset_count(pfa, max_subsets=cap),
+                    [subset_distance(pfa, full, dst, max_subsets=cap) for dst in targets])
+
+        assert outcomes(1 << 40) == outcomes(search.DEFAULT_MAX_SUBSETS)
+        assert 4 in itemsizes
+        outcomes(1 << 32)
+        assert set(itemsizes) == {8}
 
 
 def test_table_moves_once_it_would_be_as_big(monkeypatch):
