@@ -665,9 +665,11 @@ def test_budgets_past_32_bits_agree_with_the_default(monkeypatch):
                     reachable_subset_count(pfa, max_subsets=cap),
                     [subset_distance(pfa, full, dst, max_subsets=cap) for dst in targets])
 
-        assert outcomes(1 << 40) == outcomes(search.DEFAULT_MAX_SUBSETS)
+        wide = outcomes(1 << 40)
+        assert set(itemsizes) == {8}
+        assert outcomes(search.DEFAULT_MAX_SUBSETS) == wide
         assert 4 in itemsizes
-        outcomes(1 << 32)
+        assert outcomes(1 << 32) == wide
         assert set(itemsizes) == {8}
 
 
