@@ -186,15 +186,13 @@ def check_battery(
     if diags:
         return results
     merge = total_merging_letter(pfa)
-    results.append(
-        CheckResult(
-            "merging-letter",
-            merge is not None,
-            f"letter {pfa.letters[merge]!r} is total and merging"
-            if merge is not None
-            else "no total merging letter, cannot carefully synchronize",
-        )
-    )
+    if merge is not None:
+        detail = f"letter {pfa.letters[merge]!r} is total and merging"
+    elif pfa.n == 1:
+        detail = "one state, synchronized by the empty word"
+    else:
+        detail = "no total merging letter, cannot carefully synchronize"
+    results.append(CheckResult("merging-letter", merge is not None or pfa.n == 1, detail))
     for a, name in enumerate(pfa.letters):
         if any(pfa.delta[q][a] is None for q in range(pfa.n)):
             continue

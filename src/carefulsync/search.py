@@ -58,25 +58,28 @@ class SearchResult:
 
 
 def _bfs(
-    pfa: Pfa, start: int | None, goals: AbstractSet[int], max_subsets: int
+    pfa: Pfa, start: int, goals: AbstractSet[int], max_subsets: int
 ) -> tuple[tuple[int, ...] | None, int | None, int]:
-    """Breadth-first search over the power automaton from ``start`` (default: all states).
+    """Breadth-first search over the power automaton from ``start``.
 
     Returns ``(word, final, visited)``: a shortest word leading from
     ``start`` to the first discovered subset ``final`` in ``goals``, or
     ``(None, None, visited)`` once every reachable subset has been seen.
-    ``visited`` counts subsets discovered so far.  Letters are expanded in
-    ascending index order, so ``word`` is the lexicographically least among
-    the shortest.  Raises :class:`CapExceeded` once more than
-    ``max_subsets`` subsets have been discovered, and ValueError for a
-    negative ``max_subsets``.
+    ``visited`` counts subsets discovered so far, ``start`` included.
+    Letters are expanded in ascending index order, so ``word`` is the
+    lexicographically least among the shortest.  Raises
+    :class:`CapExceeded` once more than ``max_subsets`` subsets have been
+    discovered (so always for a budget of 0), and ValueError for a negative
+    ``max_subsets`` or a ``start`` that is not a nonempty subset of the
+    states.
     """
     if max_subsets < 0:
         raise ValueError(f"subset budget {max_subsets} is negative")
     n = pfa.n
-    start = pfa.full_set() if start is None else start
     if not 0 < start < 1 << n:
         raise ValueError(f"start set {start:#x} must be a nonempty subset of {n} states")
+    if not max_subsets:
+        raise CapExceeded(1)
     if start in goals:
         return (), start, 1
     tables = compile_letters(pfa)
@@ -150,33 +153,27 @@ def _bfs(
 
 
 def shortest_careful_word(
-    pfa: Pfa,
-    start: int | None = None,
-    max_subsets: int = DEFAULT_MAX_SUBSETS,
+    pfa: Pfa, *, max_subsets: int = DEFAULT_MAX_SUBSETS
 ) -> SearchResult | None:
-    """BFS for the shortest carefully synchronizing word from ``start``.
+    """BFS for the shortest carefully synchronizing word from the full set.
 
-    ``start`` defaults to the full state set.  Returns ``None`` when no
-    singleton is reachable (the automaton is not carefully synchronizing
-    from ``start``).  Letters are expanded in ascending index order, so the
-    returned word is the lexicographically least among the shortest.
+    Returns ``None`` when no singleton is reachable (the automaton is not
+    carefully synchronizing).  Letters are expanded in ascending index
+    order, so the returned word is the lexicographically least among the
+    shortest.
 
     Raises :class:`CapExceeded` once more than ``max_subsets`` subsets have
-    been discovered.
+    been discovered, the full set included.
     """
-    word, final, visited = _bfs(pfa, start, {1 << q for q in range(pfa.n)}, max_subsets)
+    word, final, visited = _bfs(pfa, pfa.full_set(), {1 << q for q in range(pfa.n)}, max_subsets)
     if word is None:
         return None
     return SearchResult(word, visited, final.bit_length() - 1)
 
 
-def reachable_subset_count(
-    pfa: Pfa,
-    start: int | None = None,
-    max_subsets: int = DEFAULT_MAX_SUBSETS,
-) -> int:
-    """Number of subsets reachable from ``start`` in the power automaton."""
-    return _bfs(pfa, start, set(), max_subsets)[2]
+def reachable_subset_count(pfa: Pfa, *, max_subsets: int = DEFAULT_MAX_SUBSETS) -> int:
+    """Number of subsets reachable from the full set in the power automaton."""
+    return _bfs(pfa, pfa.full_set(), set(), max_subsets)[2]
 
 
 def subset_distance(
@@ -254,10 +251,8 @@ class ForcedStep:
     visited_letters: tuple[int, ...]
 
 
-def forced_path_check(
-    pfa: Pfa, word: Sequence[int], start: int | None = None
-) -> ForcedStep | None:
-    """The first step of ``word``'s path from ``start`` that is not forced.
+def forced_path_check(pfa: Pfa, word: Sequence[int]) -> ForcedStep | None:
+    """The first step of ``word``'s path from the full set that is not forced.
 
     A step is *forced* when the word's own letter is the only letter that
     leads to a subset not yet on the path; every other letter is undefined
@@ -265,13 +260,13 @@ def forced_path_check(
     step is forced: a forced path from the full set to a singleton is a
     machine-checkable minimality certificate.
 
-    The word must use letters of the alphabet only and be defined along its
-    whole application from ``start`` (default: full set, else a nonempty
-    subset of the states); otherwise a ValueError is raised.
+    The automaton must have a state, and the word must use letters of the
+    alphabet only and be defined along its whole application from the full
+    set; otherwise a ValueError is raised.
     """
-    cur = pfa.full_set() if start is None else start
-    if not 0 < cur < 1 << pfa.n:
-        raise ValueError(f"start set {cur:#x} must be a nonempty subset of {pfa.n} states")
+    if not pfa.n:
+        raise ValueError("the automaton has no states")
+    cur = pfa.full_set()
     tables = compile_letters(pfa)
     chunks = list(zip(tables, compile_domains(pfa)))
     width = range(len(pfa.letters))

@@ -28,8 +28,7 @@ SIGNATURES = {
     "FamilySpec": "(kind: 'str', d: 'int | None' = None, k: 'int | None' = None,"
                   " n: 'int | None' = None, letter_count: 'int | None' = None,"
                   " density: 'float | None' = None, seed: 'int | None' = None) -> None",
-    "forced_path_check": "(pfa: 'Pfa', word: 'Sequence[int]', start: 'int | None' = None)"
-                         " -> 'ForcedStep | None'",
+    "forced_path_check": "(pfa: 'Pfa', word: 'Sequence[int]') -> 'ForcedStep | None'",
     "ForcedStep": "(position: 'int', subset: 'int', new_letters: 'tuple[int, ...]',"
                   " undefined_letters: 'tuple[int, ...]',"
                   " visited_letters: 'tuple[int, ...]') -> None",
@@ -60,14 +59,13 @@ SIGNATURES = {
     "Partition": "(classes: 'tuple[int, ...]', class_of: 'tuple[int, ...]') -> None",
     "Pfa": "(letters: 'tuple[str, ...]', delta: 'tuple[tuple[int | None, ...], ...]',"
            " state_names: 'tuple[str, ...] | None' = None) -> None",
-    "reachable_subset_count": "(pfa: 'Pfa', start: 'int | None' = None,"
-                              " max_subsets: 'int' = 16777216) -> 'int'",
+    "reachable_subset_count": "(pfa: 'Pfa', *, max_subsets: 'int' = 16777216) -> 'int'",
     "run_word": "(pfa: 'Pfa', s: 'int', word: 'Sequence[int]') -> 'RunResult'",
     "RunResult": "(final: 'int | None', trace: 'tuple[int, ...]',"
                  " undefined_at: 'int | None' = None) -> None",
     "SearchResult": "(word: 'tuple[int, ...]', visited_subsets: 'int',"
                     " synchronized_state: 'int') -> None",
-    "shortest_careful_word": "(pfa: 'Pfa', start: 'int | None' = None,"
+    "shortest_careful_word": "(pfa: 'Pfa', *,"
                              " max_subsets: 'int' = 16777216) -> 'SearchResult | None'",
     "states_from_bits": "(mask: 'int') -> 'tuple[int, ...]'",
     "subset_distance": "(pfa: 'Pfa', src: 'int', dst: 'int',"

@@ -1,8 +1,10 @@
 import argparse
 import json
 
+from carefulsync import cli
 from carefulsync.cli import _build_parser, main
-from carefulsync.families import gen_witness
+from carefulsync.core import Pfa
+from carefulsync.families import gen_grid, gen_witness
 from carefulsync.io import automaton_to_json
 
 
@@ -44,6 +46,26 @@ def test_solve_oracle_over_its_budget(capsys):
     assert captured.err.endswith("after visiting 1005 state steps\n")
 
 
+def test_solve_oracle_finds_no_word_below_the_minimum(capsys):
+    assert main(["solve", "cerny:n=4", "--max-wordlen", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "length: 9" in out
+    assert out.endswith("oracle: no word within length 5\n")
+
+
+def test_solve_oracle_disagreement_fails(monkeypatch, capsys):
+    # an oracle that finds nothing where the search found a word of length 9
+    monkeypatch.setattr(cli, "brute_force_shortest", lambda pfa, max_len, budget: None)
+    assert main(["solve", "cerny:n=4", "--max-wordlen", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.endswith("oracle: no word within length 9\n")
+    assert captured.err == "oracle disagrees with search\n"
+    # an oracle whose word is longer than the search's
+    monkeypatch.setattr(cli, "brute_force_shortest", lambda pfa, max_len, budget: (0,) * 10)
+    assert main(["solve", "cerny:n=4", "--max-wordlen", "10"]) == 1
+    assert capsys.readouterr().out.endswith("oracle: length 10 (DISAGREE)\n")
+
+
 def test_solve_oracle_negative_length(capsys):
     assert main(["solve", "witness", "--max-wordlen", "-1"]) == 2
     captured = capsys.readouterr()
@@ -64,7 +86,7 @@ def test_zero_subset_budget(capsys):
     assert main(["solve", "cerny:n=5", "--max-subsets", "0"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: subset budget exhausted after visiting 2 subsets\n"
+    assert captured.err == "error: subset budget exhausted after visiting 1 subsets\n"
     assert main(["sweep", "--family", "cerny:n=5", "--max-subsets", "0"]) == 0
     assert "cerny:n=5,,5,5,CAP," in capsys.readouterr().out
 
@@ -137,6 +159,29 @@ def test_check_grid_metadata_the_generator_rejects(tmp_path, capsys):
     assert ("grid-pattern: FAIL (expected 4 states and 8 letters, "
             "found 4 states and 3 letters)") in out
     assert "grid-word" not in out
+
+
+def test_check_grid_whose_builder_word_fails(tmp_path, capsys):
+    # b1 at q0^1 loops instead of moving to q1^1: the definedness pattern
+    # still conforms, but the builder word no longer synchronizes
+    g = gen_grid(2, 2)
+    rows = [list(row) for row in g.delta]
+    rows[0][1] = 0
+    path = tmp_path / "grid.json"
+    path.write_text(automaton_to_json(Pfa(g.letters, rows), family="grid:d=2,k=2"))
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "grid-pattern: PASS (definedness pattern conforms)" in out
+    assert out.endswith("grid-word: FAIL (builder word fails)\n")
+    assert "forced-path" not in out
+
+
+def test_check_one_state_automaton(capsys):
+    assert main(["check", "random:n=1,l=1,p=1.0,seed=1"]) == 0
+    out = capsys.readouterr().out
+    assert "merging-letter: PASS (one state, synchronized by the empty word)" in out
+    assert main(["solve", "random:n=1,l=1,p=1.0,seed=1"]) == 0
+    assert "length: 0" in capsys.readouterr().out
 
 
 def test_check_word_that_loops_is_not_forced(capsys):

@@ -15,6 +15,7 @@ from carefulsync import (
     brute_force_shortest,
     cerny_alt_word,
     cerny_word,
+    check_battery,
     digit_subset,
     forced_path_check,
     gen_cerny,
@@ -61,8 +62,10 @@ def test_single_merging_letter():
 
 
 def test_singleton_start_returns_empty_word():
-    res = shortest_careful_word(gen_witness(), start=1 << 2)
-    assert res.word == () and res.synchronized_state == 2
+    # the kernel path of subset_distance, whose source may be any subset
+    singletons = {1 << q for q in range(4)}
+    found = search._bfs(gen_witness(), 1 << 2, singletons, search.DEFAULT_MAX_SUBSETS)
+    assert found == ((), 1 << 2, 1)
 
 
 def test_single_state_automaton():
@@ -84,8 +87,12 @@ def test_lexicographic_tie_break():
 
 
 def test_empty_start_rejected():
-    with pytest.raises(ValueError):
-        shortest_careful_word(gen_witness(), start=0)
+    for src in (0, 1 << 4, -1):
+        with pytest.raises(ValueError, match="start set"):
+            subset_distance(gen_witness(), src, 1)
+    # the full set of a stateless automaton is empty too
+    with pytest.raises(ValueError, match="start set"):
+        shortest_careful_word(Pfa(("a",), ()))
 
 
 def test_cap_exceeded():
@@ -103,10 +110,15 @@ def test_negative_budget_rejected():
             subset_distance(pfa, pfa.full_set(), 1, max_subsets=-1)
         with pytest.raises(ValueError, match="state-step budget -1 is negative"):
             brute_force_shortest(pfa, 3, max_subsets=-1)
-    # a budget of 0 is still a budget
-    with pytest.raises(CapExceeded) as err:
-        shortest_careful_word(gen_cerny(5), max_subsets=0)
-    assert err.value.visited == 2
+    # a budget of 0 is still a budget, and the start subset counts against it
+    for pfa in (gen_cerny(5), Pfa(("a",), ((0,),)), Pfa(("a",), ((0,), (1,)))):
+        for search_fn in (shortest_careful_word, reachable_subset_count):
+            with pytest.raises(CapExceeded) as err:
+                search_fn(pfa, max_subsets=0)
+            assert err.value.visited == 1
+        with pytest.raises(CapExceeded) as err:
+            subset_distance(pfa, 1, 1, max_subsets=0)
+        assert err.value.visited == 1
     with pytest.raises(CapExceeded) as err:
         brute_force_shortest(gen_cerny(5), 3, max_subsets=0)
     assert err.value.visited == 5
@@ -189,10 +201,13 @@ def test_bfs_word_always_verifies():
 
 
 def test_merging_letter_exists_whenever_synchronizing():
-    for n, l, seed in itertools.product((2, 3, 4), (1, 2), range(10)):
+    # one state has no merging letter, yet the empty word synchronizes it
+    for n, l, seed in itertools.product((1, 2, 3, 4), (1, 2), range(10)):
         pfa = gen_random(n, l, 0.7, seed)
         if shortest_careful_word(pfa) is not None:
-            assert total_merging_letter(pfa) is not None
+            assert (total_merging_letter(pfa) is None) == (n == 1)
+            merge = next(r for r in check_battery(pfa) if r.name == "merging-letter")
+            assert merge.passed
 
 
 def test_start_set_monotonicity():
@@ -201,10 +216,11 @@ def test_start_set_monotonicity():
         full = shortest_careful_word(pfa)
         if full is None:
             continue
+        singletons = {1 << q for q in range(pfa.n)}
         for sub in (0b0011, 0b0110, 0b1010, 0b0001):
-            res = shortest_careful_word(pfa, start=sub)
-            assert res is not None
-            assert res.length <= full.length
+            word = search._bfs(pfa, sub, singletons, search.DEFAULT_MAX_SUBSETS)[0]
+            assert word is not None
+            assert len(word) <= full.length
 
 
 def test_subset_distance_same_set():
@@ -277,9 +293,10 @@ def test_forced_path_rejects_out_of_range_letters_and_starts():
     for bad in (-1, len(g.letters)):
         with pytest.raises(ValueError, match="out of range"):
             forced_path_check(g, word[:2] + (bad,) + word[2:])
-    for start in (0, 1 << g.n):
-        with pytest.raises(ValueError, match="start set"):
-            forced_path_check(g, word, start)
+    # the walk starts from the full set, which is empty without states
+    for w in ((0,), ()):
+        with pytest.raises(ValueError, match="no states"):
+            forced_path_check(Pfa(("a",), ()), w)
 
 
 def test_forced_path_builds_at_most_one_step(monkeypatch):
@@ -298,15 +315,13 @@ def test_forced_path_records_positions():
     step = forced_path_check(g, (0, 0, 1, 2, 1, 3))
     assert step == ForcedStep(1, 0b0101, new_letters=(1,), undefined_letters=(2, 3),
                               visited_letters=(0,))
-    assert forced_path_check(g, (0, 0, 1, 2, 1, 3), start=0b0101).position == 0
 
 
-def _forced_path_reference(pfa, word, start=None):
+def _forced_path_reference(pfa, word):
     """The two-pass, per-letter forced-path definition: walk the whole word
-    first, then classify every letter's image at each position."""
-    cur = pfa.full_set() if start is None else start
-    if not 0 < cur < 1 << pfa.n:
-        raise ValueError(f"start set {cur:#x} must be a nonempty subset of {pfa.n} states")
+    from the full set first, then classify every letter's image at each
+    position."""
+    cur = pfa.full_set()
     tables = compile_letters(pfa)
     width = range(len(pfa.letters))
     trace = [cur]
@@ -340,26 +355,23 @@ def test_forced_path_matches_the_two_pass_definition():
     cases = []
     for d, k in itertools.product(range(2, 5), range(2, 6)):
         g, word = gen_grid(d, k), grid_word(d, k)
-        cases += [(g, word, None), (g, word[:1] + word, None), (g, word + word[-1:], None),
-                  (g, word[1:], g.full_set() ^ 1)]
+        cases += [(g, word), (g, word[:1] + word), (g, word + word[-1:]), (g, word[1:])]
     for n in range(3, 9):
         c = gen_cerny(n)
-        cases += [(c, cerny_word(n), None), (c, cerny_alt_word(n, n - 2), None),
-                  (c, (1,) * n + cerny_word(n), None)]
-    # looping and non-minimal grid words, and the errors: bad letters, bad
-    # starts, undefined steps
+        cases += [(c, cerny_word(n)), (c, cerny_alt_word(n, n - 2)), (c, (1,) * n + cerny_word(n))]
+    # looping and non-minimal grid words, and the errors: bad letters,
+    # undefined steps
     g, word = gen_grid(2, 2), grid_word(2, 2)
-    cases += [(g, (0, 0, 1, 2, 1, 3), None), (g, (0, 1, 1, 2, 1, 3), 0b0101),
-              (g, (0, 1, 2, 1, 0, 3), None), (g, word, 0), (g, word, 1 << g.n), (g, word, -1),
-              (g, word[:2] + (-1,) + word[2:], None), (g, word + (len(g.letters),), None),
-              (g, (3,) + word, None), (g, word[:2] + (5, 3) + word[2:], None),
-              (g, word[:2] + (3,) + word[2:], None), (g, (), None), (g, (), 0)]
+    cases += [(g, (0, 0, 1, 2, 1, 3)), (g, (0, 0, 1, 1, 2, 1, 3)), (g, (0, 1, 2, 1, 0, 3)),
+              (g, word[:2] + (-1,) + word[2:]), (g, word + (len(g.letters),)),
+              (g, (3,) + word), (g, word[:2] + (5, 3) + word[2:]),
+              (g, word[:2] + (3,) + word[2:]), (g, ())]
     # a copy of a letter: where the word's letter leads somewhere new, so
     # does its copy, to the same subset
     def with_copy(pfa, a):
         return Pfa(pfa.letters + ("copy",), tuple(row + (row[a],) for row in pfa.delta))
 
-    cases += [(with_copy(g, a), word, None) for a in range(len(g.letters))]
+    cases += [(with_copy(g, a), word) for a in range(len(g.letters))]
     # small automata, then 33 to 40 states (chunks past the first four) over
     # 9 to 30 letters, one of them a copy
     rng = random.Random(6)
@@ -370,10 +382,9 @@ def test_forced_path_matches_the_two_pass_definition():
             pfa = gen_random(rng.randint(33, 40), rng.randint(8, 29), rng.choice((0.9, 0.97, 1.0)), seed)
             pfa = with_copy(pfa, rng.randrange(len(pfa.letters)))
         tables = compile_letters(pfa)
-        start = rng.choice((None, rng.randint(1, pfa.full_set())))
         for _ in range(4):
             # a random walk that mostly takes defined letters
-            cur, word = pfa.full_set() if start is None else start, []
+            cur, word = pfa.full_set(), []
             for _ in range(rng.randint(0, 25)):
                 defined = [a for a in range(len(pfa.letters)) if image(tables, a, cur) is not None]
                 if not defined or rng.random() < 0.03:
@@ -381,11 +392,11 @@ def test_forced_path_matches_the_two_pass_definition():
                     break
                 word.append(rng.choice(defined))
                 cur = image(tables, word[-1], cur)
-            cases.append((pfa, tuple(word), start))
+            cases.append((pfa, tuple(word)))
     outcomes = set()
-    for pfa, word, start in cases:
-        expect = _outcome(_forced_path_reference, pfa, word, start)
-        assert _outcome(forced_path_check, pfa, word, start) == expect
+    for pfa, word in cases:
+        expect = _outcome(_forced_path_reference, pfa, word)
+        assert _outcome(forced_path_check, pfa, word) == expect
         outcomes.add(type(expect))
         if isinstance(expect, str):
             outcomes.add(expect.split()[0])
@@ -396,7 +407,7 @@ def test_forced_path_matches_the_two_pass_definition():
             new = [image(tables, a, expect.subset) for a in expect.new_letters]
             if len(set(new)) < len(new):
                 outcomes.add("two letters, one new subset")
-    assert outcomes == {type(None), ForcedStep, str, "letter", "start", "word", "wide",
+    assert outcomes == {type(None), ForcedStep, str, "letter", "word", "wide",
                         "two letters, one new subset"}
 
 
@@ -492,7 +503,7 @@ def test_failed_search_visits_every_reachable_subset(monkeypatch):
         monkeypatch.setattr(search, "FLAT_TABLE_LIMIT", limit)
         for pfa in corpus:
             singletons = {1 << q for q in range(pfa.n)}
-            visited = search._bfs(pfa, None, singletons, search.DEFAULT_MAX_SUBSETS)[2]
+            visited = search._bfs(pfa, pfa.full_set(), singletons, search.DEFAULT_MAX_SUBSETS)[2]
             assert visited == reachable_subset_count(pfa)
 
 
