@@ -13,6 +13,7 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from operator import or_
 from typing import AbstractSet, Sequence
 
@@ -57,6 +58,57 @@ class SearchResult:
         return len(self.word)
 
 
+class _LetterLists(dict):
+    """The letters of each domain mask in ascending order, listed on first use.
+
+    A search can meet a new mask at every subset it expands, so each list
+    is packed: one byte per letter while every index fits in a byte, else
+    four.
+    """
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.packed = bytes if width <= 256 else partial(array, "I")
+
+    def __missing__(self, mask: int):
+        # bin() writes bit 0 last; reading its digits beats shifting a wide mask
+        bits = bin(mask)[:1:-1]
+        out = self[mask] = self.packed([a for a, bit in enumerate(bits) if bit == "1"])
+        return out
+
+
+def _rebuild(
+    found: Sequence[int],
+    parent: Sequence[int],
+    chunks: list[tuple[list[tuple[int, ...]], list[int]]],
+    letters: _LetterLists,
+) -> tuple[int, ...]:
+    """The word along the parent links from ``found[0]`` to ``found[-1]``.
+
+    Each subset was first reached from its parent by the least letter
+    mapping one to the other, so only the letters defined on the parent are
+    tried, their images ORed from its nonempty chunk rows as in
+    :func:`forced_path_check`.
+    """
+    word, j = [], len(found) - 1
+    while j:
+        s, t, j = found[parent[j]], found[j], parent[j]
+        defined, rows = -1, []
+        while s:
+            tab, dom = chunks[len(rows)]
+            defined &= dom[s & 255]
+            rows.append(tab[s & 255])
+            s >>= 8
+        for a in letters[defined]:
+            u = 0
+            for row in rows:
+                u |= row[a]
+            if u == t:
+                break
+        word.append(a)
+    return tuple(reversed(word))
+
+
 def _bfs(
     pfa: Pfa, start: int, goals: AbstractSet[int], max_subsets: int
 ) -> tuple[tuple[int, ...] | None, int | None, int]:
@@ -82,19 +134,21 @@ def _bfs(
         raise CapExceeded(1)
     if start in goals:
         return (), start, 1
-    tables = compile_letters(pfa)
-    t0, t1, t2, t3, *wide = tables
-    wide = [(tab, 8 * j) for j, tab in enumerate(wide, 4)]
-    # The visited table reads 1 for a discovered subset and for -1
-    # ("undefined"), 2 for a goal not yet discovered and 0 otherwise, so a
-    # probe is one lookup.  It starts hashed, at about 64 bytes per entry;
-    # the budget check also moves it to the flat table (-1 on the extra
-    # last byte) once it holds 2^n / 64 subsets.
+    chunks = list(zip(compile_letters(pfa), compile_domains(pfa)))
+    (t0, d0), (t1, d1), (t2, d2), (t3, d3) = chunks[:4]
+    wide = [(tab, dom, 8 * j) for j, (tab, dom) in enumerate(chunks[4:], 4)]
+    letters = _LetterLists(len(pfa.letters))
+    # The visited table reads 1 for a discovered subset, 2 for a goal not
+    # yet discovered and 0 otherwise, so a probe is one lookup.  Only the
+    # letters defined on a subset are probed, so every probe is a nonempty
+    # subset.  It starts hashed, at about 64 bytes per entry; the budget
+    # check also moves it to the flat table of 2^n bytes once it holds
+    # 2^n / 64 subsets.
     seen = defaultdict(int)
     limit = min(max_subsets, (1 << n) >> 6) if n <= FLAT_TABLE_LIMIT else max_subsets
     for g in goals:
         seen[g] = 2
-    seen[-1] = seen[start] = 1
+    seen[start] = 1
     count = 1
     # Every discovered subset in BFS order and the index of its parent,
     # packed at 8 and 4 bytes per subset unless a subset needs more than 64
@@ -112,11 +166,17 @@ def _bfs(
     while level:
         nxt = []
         for i, s in enumerate(level, lo):
-            high = t3[s >> 24 & 255]
-            for tab, shift in wide:  # states 32 and up; empty when n <= 32
-                high = tuple(map(or_, high, tab[s >> shift & 255]))
-            for a, b, c, d in zip(t0[s & 255], t1[s >> 8 & 255], t2[s >> 16 & 255], high):
-                t = a | b | c | d
+            # The AND of the chunks' domain rows lists the letters defined
+            # on ``s``; only their images are ORed, from the chunk rows.
+            c0, c1, c2, c3 = s & 255, s >> 8 & 255, s >> 16 & 255, s >> 24 & 255
+            defined = d0[c0] & d1[c1] & d2[c2] & d3[c3]
+            r0, r1, r2, r3 = t0[c0], t1[c1], t2[c2], t3[c3]
+            for tab, dom, shift in wide:  # states 32 and up; empty when n <= 32
+                c = s >> shift & 255
+                defined &= dom[c]
+                r3 = tuple(map(or_, r3, tab[c]))
+            for a in letters[defined]:
+                t = r0[a] | r1[a] | r2[a] | r3[a]
                 v = seen[t]
                 if v == 1:
                     continue
@@ -125,24 +185,15 @@ def _bfs(
                 if count > limit:
                     if count > max_subsets:
                         raise CapExceeded(count)
-                    flat = bytearray((1 << n) + 1)
+                    flat = bytearray(1 << n)
                     for u, w in seen.items():
                         flat[u] = w
                     seen, limit = flat, max_subsets
                 nxt.append(t)
                 push_parent(i)
                 if v:
-                    # Each subset was first reached from its parent by the
-                    # smallest letter mapping one to the other.
                     pack(nxt)
-                    word, j = [], len(found) - 1
-                    while j:
-                        s, t, j = found[parent[j]], found[j], parent[j]
-                        a = 0
-                        while image(tables, a, s) != t:
-                            a += 1
-                        word.append(a)
-                    return tuple(reversed(word)), found[-1], count
+                    return _rebuild(found, parent, chunks, letters), t, count
         if goals:
             pack(nxt)
         else:
@@ -269,6 +320,7 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> ForcedStep | None:
     cur = pfa.full_set()
     tables = compile_letters(pfa)
     chunks = list(zip(tables, compile_domains(pfa)))
+    letters = _LetterLists(len(pfa.letters))
     width = range(len(pfa.letters))
     # Subsets on the path so far.  Past the first unforced step the walk
     # only applies the word.
@@ -292,10 +344,8 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> ForcedStep | None:
             if defined >> letter & 1:
                 seen.add(cur)
                 new = []
-                while defined:
-                    low = defined & -defined
-                    defined ^= low
-                    a, t = low.bit_length() - 1, 0
+                for a in letters[defined]:
+                    t = 0
                     for row in rows:
                         t |= row[a]
                     if a == letter:

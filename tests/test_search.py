@@ -549,6 +549,57 @@ def test_kernel_and_run_word_match_naive_images_across_chunks():
     assert synchronizing == {7, 8, 9, 31, 32, 33, 40, 64, 65, 72}
 
 
+def _first_letter_total(pfa, seed):
+    """``pfa`` with letter 0's undefined transitions sent to random states."""
+    rng = random.Random(seed)
+    delta = [list(row) for row in pfa.delta]
+    for row in delta:
+        if row[0] is None:
+            row[0] = rng.randrange(pfa.n)
+    return Pfa(pfa.letters, delta)
+
+
+def test_kernel_matches_naive_bfs_on_sparse_many_letter_automata():
+    # Most letters are undefined on most subsets, so the kernel expands only
+    # the few its chunk domains leave.  With 33 and 40 states the domains of
+    # the wide chunks beyond state 32 count too; with letter 0 made total,
+    # the searches go past the full set, on which few letters are defined.
+    corpus = [gen_random(n, letters, density, seed)
+              for n, letters, density, seed in itertools.product(
+                  range(5, 10), (8, 20, 30), (0.3, 0.5, 0.7), range(2))]
+    corpus += [gen_random(n, letters, density, 0)
+               for n, letters, density in itertools.product((33, 40), (8, 20, 30), (0.3, 0.7))]
+    corpus += [_first_letter_total(gen_random(n, letters, density, seed), seed)
+               for n, letters, density, seed in (
+                   (33, 8, 0.7, 4), (33, 20, 0.3, 35), (33, 30, 0.3, 7), (40, 8, 0.3, 3),
+                   (40, 8, 0.5, 2), (40, 20, 0.3, 19), (40, 30, 0.3, 19),
+                   (33, 8, 0.3, 5), (33, 20, 0.5, 0), (40, 20, 0.7, 4), (40, 30, 0.5, 1))]
+    corpus += [_relabel(gen_grid(2, 5), 5), _relabel(gen_grid(3, 3), 6), Pfa((), ((),) * 3)]
+    rng = random.Random(14)
+    stuck = synchronizing = 0
+    for pfa in corpus:
+        levels, word = _naive_bfs(pfa)
+        full = pfa.full_set()
+        singletons = {1 << q for q in range(pfa.n)}
+        assert reachable_subset_count(pfa) == len(levels)
+        found = shortest_careful_word(pfa)
+        assert (found and found.word) == word
+        visited = search._bfs(pfa, full, singletons, search.DEFAULT_MAX_SUBSETS)[2]
+        if word is None:
+            assert visited == len(levels)
+        else:
+            synchronizing += pfa.n > 32
+            assert visited == found.visited_subsets == 1 + next(
+                i for i, t in enumerate(levels) if len(t) == 1)
+        # no letter defined on the full set: nothing past it
+        if len(levels) == 1:
+            stuck += 1
+            assert found is None and visited == 1
+        for t in rng.sample(list(levels), min(len(levels), 8)):
+            assert subset_distance(pfa, full, bits_from_states(t)) == levels[t]
+    assert stuck > 20 and synchronizing == 7
+
+
 def test_flat_and_hash_tables_agree(monkeypatch):
     corpus = [
         gen_random(n, l, p, seed)
@@ -703,8 +754,8 @@ def test_table_moves_once_it_would_be_as_big(monkeypatch):
 
     # cerny:n=10 holds 16 subsets before the 17th moves it
     assert tables(gen_cerny(10), 16) == []
-    assert tables(gen_cerny(10), 17) == [(1 << 10) + 1]
-    assert tables(gen_cerny(10)) == [(1 << 10) + 1]
+    assert tables(gen_cerny(10), 17) == [1 << 10]
+    assert tables(gen_cerny(10)) == [1 << 10]
     # 8,190 of 2^24 subsets: too few to move
     assert tables(gen_grid(2, 12)) == []
     # 25 states stay hashed however many subsets they visit
