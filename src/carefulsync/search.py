@@ -77,34 +77,16 @@ class _LetterLists(dict):
         return out
 
 
-def _rebuild(
-    found: Sequence[int],
-    parent: Sequence[int],
-    chunks: list[tuple[list[tuple[int, ...]], list[int]]],
-    letters: _LetterLists,
-) -> tuple[int, ...]:
-    """The word along the parent links from ``found[0]`` to ``found[-1]``.
+def _rebuild(parent: Sequence[int], width: int) -> tuple[int, ...]:
+    """The word along the parent links from the start to the last subset found.
 
-    Each subset was first reached from its parent by the least letter
-    mapping one to the other, so only the letters defined on the parent are
-    tried, their images ORed from its nonempty chunk rows as in
-    :func:`forced_path_check`.
+    Link ``j`` is ``i * width + a``: subset ``j`` was first reached from
+    subset ``i`` by letter ``a``, the least letter mapping one to the other
+    since subsets are expanded in BFS order and letters in ascending order.
     """
-    word, j = [], len(found) - 1
+    word, j = [], len(parent) - 1
     while j:
-        s, t, j = found[parent[j]], found[j], parent[j]
-        defined, rows = -1, []
-        while s:
-            tab, dom = chunks[len(rows)]
-            defined &= dom[s & 255]
-            rows.append(tab[s & 255])
-            s >>= 8
-        for a in letters[defined]:
-            u = 0
-            for row in rows:
-                u |= row[a]
-            if u == t:
-                break
+        j, a = divmod(parent[j], width)
         word.append(a)
     return tuple(reversed(word))
 
@@ -150,22 +132,18 @@ def _bfs(
         seen[g] = 2
     seen[start] = 1
     count = 1
-    # Every discovered subset in BFS order and the index of its parent,
-    # packed at 8 and 4 bytes per subset unless a subset needs more than 64
-    # bits (then a list of ints) or an index more than 32 bits (then 8
-    # bytes).  A read from the packed array boxes a new int, so the level
-    # being expanded, ``found[lo:]``, is read from the plain list ``level``;
-    # the next one collects in ``nxt`` and is packed once it is done
-    # (``fromlist`` packs faster than ``extend``).  Without goals no word is
-    # rebuilt, so no level is packed and each level's parents are dropped.
-    found = array("Q", [start]) if n <= 64 else [start]
-    parent = array("I" if max_subsets < 1 << 32 else "Q", [0])
+    # The link of each discovered subset in BFS order: its parent's index
+    # times ``width`` plus the letter that first reached it, in 4 bytes
+    # while every link fits, else 8.  Without goals no word is rebuilt, so
+    # each level's links are dropped.
+    width = max(len(pfa.letters), 1)
+    parent = array("I" if max_subsets * width <= 1 << 32 else "Q", [0])
     push_parent = parent.append
-    pack = found.fromlist if n <= 64 else found.extend
     level, lo = [start], 0
     while level:
         nxt = []
         for i, s in enumerate(level, lo):
+            base = i * width
             # The AND of the chunks' domain rows lists the letters defined
             # on ``s``; only their images are ORed, from the chunk rows.
             c0, c1, c2, c3 = s & 255, s >> 8 & 255, s >> 16 & 255, s >> 24 & 255
@@ -190,13 +168,10 @@ def _bfs(
                         flat[u] = w
                     seen, limit = flat, max_subsets
                 nxt.append(t)
-                push_parent(i)
+                push_parent(base + a)
                 if v:
-                    pack(nxt)
-                    return _rebuild(found, parent, chunks, letters), t, count
-        if goals:
-            pack(nxt)
-        else:
+                    return _rebuild(parent, width), t, count
+        if not goals:
             del parent[:]
         lo += len(level)
         level = nxt

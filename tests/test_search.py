@@ -564,6 +564,8 @@ def test_kernel_matches_naive_bfs_on_sparse_many_letter_automata():
     # the few its chunk domains leave.  With 33 and 40 states the domains of
     # the wide chunks beyond state 32 count too; with letter 0 made total,
     # the searches go past the full set, on which few letters are defined.
+    # With 300 letters the words use letter indices above 255, and the
+    # 70-state chain's subsets need more than 64 bits.
     corpus = [gen_random(n, letters, density, seed)
               for n, letters, density, seed in itertools.product(
                   range(5, 10), (8, 20, 30), (0.3, 0.5, 0.7), range(2))]
@@ -574,8 +576,12 @@ def test_kernel_matches_naive_bfs_on_sparse_many_letter_automata():
                    (33, 8, 0.7, 4), (33, 20, 0.3, 35), (33, 30, 0.3, 7), (40, 8, 0.3, 3),
                    (40, 8, 0.5, 2), (40, 20, 0.3, 19), (40, 30, 0.3, 19),
                    (33, 8, 0.3, 5), (33, 20, 0.5, 0), (40, 20, 0.7, 4), (40, 30, 0.5, 1))]
-    corpus += [_relabel(gen_grid(2, 5), 5), _relabel(gen_grid(3, 3), 6), Pfa((), ((),) * 3)]
+    corpus += [gen_random(5, 300, 0.4, seed) for seed in range(30)]
+    corpus += [gen_random(7, 300, 0.6, seed) for seed in range(10)]
+    corpus += [_relabel(gen_grid(2, 5), 5), _relabel(gen_grid(3, 3), 6), Pfa((), ((),) * 3),
+               gen_chain(70)]
     rng = random.Random(14)
+    wide_letters = 0
     stuck = synchronizing = 0
     for pfa in corpus:
         levels, word = _naive_bfs(pfa)
@@ -589,6 +595,7 @@ def test_kernel_matches_naive_bfs_on_sparse_many_letter_automata():
             assert visited == len(levels)
         else:
             synchronizing += pfa.n > 32
+            wide_letters += max(word) > 255
             assert visited == found.visited_subsets == 1 + next(
                 i for i, t in enumerate(levels) if len(t) == 1)
         # no letter defined on the full set: nothing past it
@@ -597,7 +604,7 @@ def test_kernel_matches_naive_bfs_on_sparse_many_letter_automata():
             assert found is None and visited == 1
         for t in rng.sample(list(levels), min(len(levels), 8)):
             assert subset_distance(pfa, full, bits_from_states(t)) == levels[t]
-    assert stuck > 20 and synchronizing == 7
+    assert stuck > 20 and synchronizing == 8 and wide_letters == 6
 
 
 def test_flat_and_hash_tables_agree(monkeypatch):
@@ -694,8 +701,8 @@ def test_budget_bounds_visited_table():
 
 
 def test_search_packs_subsets_and_parents():
-    # 65,520 subsets: 8 bytes each in the subset array, 4 in the parent
-    # array and 1 in the flat table, against about 50 as boxed ints
+    # 65,520 subsets: 4 bytes each in the parent links and 1 in the flat
+    # table, against about 50 as boxed ints
     pfa = gen_cerny(16)
     tracemalloc.start()
     try:
@@ -704,11 +711,14 @@ def test_search_packs_subsets_and_parents():
     finally:
         tracemalloc.stop()
     assert found.visited_subsets == 65_520
-    assert peak < 20 * found.visited_subsets
+    assert peak < 8 * found.visited_subsets
 
 
 def test_budgets_past_32_bits_agree_with_the_default(monkeypatch):
-    # from a budget of 2^32 on, parent indices take 8 bytes instead of 4
+    # a parent link is the parent's index times the letter count plus the
+    # letter, so links take 8 bytes instead of 4 once the budget times the
+    # letter count passes 2^32: from a budget of 2^32 on with 2 letters,
+    # from 2^29 on with 12
     itemsizes = []
 
     def spy(typecode, *args):
@@ -717,7 +727,7 @@ def test_budgets_past_32_bits_agree_with_the_default(monkeypatch):
         return made
 
     monkeypatch.setattr(search, "array", spy)
-    for pfa in (gen_cerny(10), _relabel(gen_grid(2, 6), 3)):
+    for pfa, last_narrow in ((gen_cerny(10), 1 << 31), (_relabel(gen_grid(2, 6), 3), 1 << 28)):
         full = pfa.full_set()
         targets = [1 << q for q in range(pfa.n)] + [full]
 
@@ -729,10 +739,10 @@ def test_budgets_past_32_bits_agree_with_the_default(monkeypatch):
 
         wide = outcomes(1 << 40)
         assert set(itemsizes) == {8}
-        assert outcomes(search.DEFAULT_MAX_SUBSETS) == wide
-        assert 4 in itemsizes
-        assert outcomes(1 << 32) == wide
-        assert set(itemsizes) == {8}
+        for cap, itemsize in ((search.DEFAULT_MAX_SUBSETS, 4), (last_narrow, 4),
+                              (2 * last_narrow, 8)):
+            assert outcomes(cap) == wide
+            assert set(itemsizes) == {itemsize}
 
 
 def test_table_moves_once_it_would_be_as_big(monkeypatch):
