@@ -157,9 +157,9 @@ def compile_domains(pfa: Pfa) -> list[list[int]]:
     Bit ``a`` of ``compile_domains(pfa)[j][c]`` is set when letter ``a`` is
     defined on every state ``8j + i`` whose bit ``i`` is set in ``c``, so
     the AND of a subset's chunk rows is the set of letters defined on it.
-    Chunks match :func:`compile_letters` one for one.  The BFS kernel, its
-    word rebuild and the forced-path certificate in ``search`` read these
-    masks, so each computes images only for the letters defined on a subset.
+    Chunks match :func:`compile_letters` one for one.  The BFS kernel and
+    the forced-path certificate in ``search`` read these masks, so each
+    computes images only for the letters defined on a subset.
     """
     every = (1 << len(pfa.letters)) - 1
     domains = []

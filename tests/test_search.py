@@ -581,8 +581,7 @@ def test_kernel_matches_naive_bfs_on_sparse_many_letter_automata():
     corpus += [_relabel(gen_grid(2, 5), 5), _relabel(gen_grid(3, 3), 6), Pfa((), ((),) * 3),
                gen_chain(70)]
     rng = random.Random(14)
-    wide_letters = 0
-    stuck = synchronizing = 0
+    stuck = synchronizing = wide_letters = 0
     for pfa in corpus:
         levels, word = _naive_bfs(pfa)
         full = pfa.full_set()
