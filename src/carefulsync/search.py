@@ -134,16 +134,16 @@ def _bfs(
     count = 1
     # The link of each discovered subset in BFS order: its parent's index
     # times ``width`` plus the letter that first reached it, in 4 bytes
-    # while every link fits, else 8.  Without goals no word is rebuilt, so
-    # each level's links are dropped.
+    # while every link fits, else 8.  ``base`` is the index of the subset
+    # being expanded times ``width``, kept by one add per subset.  Without
+    # goals no word is rebuilt, so each level's links are dropped.
     width = max(len(pfa.letters), 1)
     parent = array("I" if max_subsets * width <= 1 << 32 else "Q", [0])
     push_parent = parent.append
-    level, lo = [start], 0
+    level, base = [start], 0
     while level:
         nxt = []
-        for i, s in enumerate(level, lo):
-            base = i * width
+        for s in level:
             # The AND of the chunks' domain rows lists the letters defined
             # on ``s``; only their images are ORed, from the chunk rows.
             c0, c1, c2, c3 = s & 255, s >> 8 & 255, s >> 16 & 255, s >> 24 & 255
@@ -171,9 +171,9 @@ def _bfs(
                 push_parent(base + a)
                 if v:
                     return _rebuild(parent, width), t, count
+            base += width
         if not goals:
             del parent[:]
-        lo += len(level)
         level = nxt
     return None, None, count
 
