@@ -43,9 +43,10 @@ print(f"  exact shortest length: {found.length}")
 print(f"  published closed form says: {grid_word_claimed_length(d, k)} (overcounts by k-1)")
 
 print("\nminimality certificate: at every step the word's letter alone leads anywhere new")
-print(f"  builder word's path is forced: {forced_path_check(auto, w) is None}")
+final, step = forced_path_check(auto, w)
+print(f"  builder word's path is forced: {step is None}, to {format_state_set(auto, final)}")
 cerny = gen_cerny(4)
-step = forced_path_check(cerny, cerny_word(4))
+_, step = forced_path_check(cerny, cerny_word(4))
 print(f"  classic cerny:n=4 word first branches at step {step.position},"
       f" from {format_state_set(cerny, step.subset)}:"
       f" new={[cerny.letters[a] for a in step.new_letters]}"

@@ -25,6 +25,7 @@ from .families import FamilySpec, gen_chain, gen_cerny, gen_grid, gen_witness, g
 from .search import (
     CapExceeded,
     DEFAULT_MAX_SUBSETS,
+    ForcedStep,
     forced_path_check,
     reachable_subset_count,
     shortest_careful_word,
@@ -158,6 +159,15 @@ def sweep_csv(rows: Sequence[SweepRow], include_timings: bool = False) -> str:
     return buf.getvalue()
 
 
+def _walk(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, ForcedStep | None]:
+    """The state ``word`` carefully synchronizes to, or ``None``, and its first
+    unforced step, from one walk of the word."""
+    final, step = forced_path_check(pfa, word)
+    if final is None or final.bit_count() != 1:
+        return None, step
+    return final.bit_length() - 1, step
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -176,7 +186,11 @@ def check_battery(
     forced path along the builder word; a table whose shape does not fit
     the grid, or metadata the grid generator rejects, fails the pattern
     check and skips the word checks.  When ``word`` is given, checks it and
-    reports its forced-path status.
+    reports its forced-path status.  Each word is walked once, by
+    :func:`~carefulsync.search.forced_path_check`, which gives both its
+    final subset and its first unforced step.  A passing forced path is a
+    sound minimality certificate: no step of it starts from a singleton,
+    so a word that passes through an earlier singleton fails it.
     """
     results = []
     diags = validate(pfa)
@@ -221,24 +235,22 @@ def check_battery(
         )
         if fits and min(spec.d, spec.k) >= 2:  # the builder word's domain
             w = grid_word(spec.d, spec.k)
-            ok, state = is_careful_sync_word(pfa, w)
-            if ok:
-                detail = f"builder word of length {len(w)} synchronizes to {pfa.state_name(state)}"
-            else:
-                detail = "builder word fails"
+            state, step = _walk(pfa, w)
+            ok = state is not None
+            detail = (f"builder word of length {len(w)} synchronizes to {pfa.state_name(state)}"
+                      if ok else "builder word fails")
             results.append(CheckResult("grid-word", ok, detail))
             if ok:
-                step = forced_path_check(pfa, w)
                 detail = ("exactly one new subset at every step" if step is None
                           else f"step {step.position} is not forced")
                 results.append(CheckResult("forced-path", step is None, detail))
     if word is not None:
-        ok, state = is_careful_sync_word(pfa, word)
+        state, step = _walk(pfa, word)
+        ok = state is not None
         detail = (f"synchronizes to {pfa.state_name(state)}" if ok
                   else "does not carefully synchronize")
         results.append(CheckResult("word-verifies", ok, detail))
         if ok:
-            step = forced_path_check(pfa, word)
             detail = ("path is forced" if step is None
                       else f"path is not forced at step {step.position}")
             results.append(CheckResult("word-forced-path", step is None, detail))

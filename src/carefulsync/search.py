@@ -277,63 +277,76 @@ class ForcedStep:
     visited_letters: tuple[int, ...]
 
 
-def forced_path_check(pfa: Pfa, word: Sequence[int]) -> ForcedStep | None:
-    """The first step of ``word``'s path from the full set that is not forced.
+def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, ForcedStep | None]:
+    """Walk ``word`` from the full set once: where it ends and its first unforced step.
 
-    A step is *forced* when the word's own letter is the only letter that
-    leads to a subset not yet on the path; every other letter is undefined
-    or leads back to a subset already seen.  Returns ``None`` when every
-    step is forced: a forced path from the full set to a singleton is a
-    machine-checkable minimality certificate.
+    A step is *forced* when it starts from a subset of two or more states
+    and the word's own letter is the only letter that leads to a subset not
+    yet on the path; every other letter is undefined or leads back to a
+    subset already seen.  Returns ``(final, step)``: ``final`` is the subset
+    the word reaches, or ``None`` where a letter is undefined on the subset
+    it meets (as in :func:`~carefulsync.core.run_word`), and ``step`` the
+    first step that is not forced, or ``None``.  When every step is forced,
+    each BFS level from the full set before the last is the one subset on
+    the path, so a forced path to a singleton certifies that no shorter
+    careful word exists: the certificate is sound.  It is stricter than
+    minimality needs, since two letters leading to the same new subset
+    fail a step.
 
     The automaton must have a state, and the word must use letters of the
-    alphabet only and be defined along its whole application from the full
-    set; otherwise a ValueError is raised.
+    alphabet only up to where it stops; otherwise a ValueError is raised.
     """
     if not pfa.n:
         raise ValueError("the automaton has no states")
-    cur = pfa.full_set()
     tables = compile_letters(pfa)
     chunks = list(zip(tables, compile_domains(pfa)))
+    (t0, d0), (t1, d1), (t2, d2), (t3, d3) = chunks[:4]
+    wide = [(tab, dom, 8 * j) for j, (tab, dom) in enumerate(chunks[4:], 4)]
     letters = _LetterLists(len(pfa.letters))
     width = range(len(pfa.letters))
     # Subsets on the path so far.  Past the first unforced step the walk
     # only applies the word.
     seen = set()
-    step, forced = None, True
+    cur, step, forced = pfa.full_set(), None, True
     for pos, letter in enumerate(word):
         if letter not in width:
             raise ValueError(f"letter index {letter} out of range")
-        if not forced:
-            nxt = image(tables, letter, cur)
-        else:
-            # The letters defined on ``cur`` and its nonempty chunk rows;
-            # only those letters' images are ORed, inline as in the kernel.
-            defined, s, rows = -1, cur, []
-            while s:
-                tab, dom = chunks[len(rows)]
-                defined &= dom[s & 255]
-                rows.append(tab[s & 255])
-                s >>= 8
-            nxt = None
-            if defined >> letter & 1:
-                seen.add(cur)
-                new = []
-                for a in letters[defined]:
-                    t = 0
-                    for row in rows:
-                        t |= row[a]
-                    if a == letter:
-                        nxt = t
-                    if t not in seen:
-                        new.append(t)
-                if new != [nxt]:
-                    forced = False
-                    out = [image(tables, a, cur) for a in width]
-                    fresh = tuple(a for a in width if out[a] is not None and out[a] not in seen)
-                    step = ForcedStep(pos, cur, fresh, tuple(a for a in width if out[a] is None),
-                                      tuple(a for a in width if out[a] in seen))
+        # The letters defined on ``cur`` and its chunk rows, unrolled over
+        # states 0..31 as in the kernel; a wide chunk row is kept only when
+        # ``cur`` has a state in it.
+        c0, c1, c2, c3 = cur & 255, cur >> 8 & 255, cur >> 16 & 255, cur >> 24 & 255
+        defined = d0[c0] & d1[c1] & d2[c2] & d3[c3]
+        r0, r1, r2, r3 = t0[c0], t1[c1], t2[c2], t3[c3]
+        rows = []
+        for tab, dom, shift in wide:  # states 32 and up; empty when n <= 32
+            c = cur >> shift & 255
+            if c:
+                defined &= dom[c]
+                rows.append(tab[c])
+        nxt = None
+        if forced:
+            seen.add(cur)
+            new = []
+            for a in letters[defined]:
+                t = r0[a] | r1[a] | r2[a] | r3[a]
+                for row in rows:
+                    t |= row[a]
+                if a == letter:
+                    nxt = t
+                if t not in seen:
+                    new.append(t)
+            if new != [nxt] or cur.bit_count() == 1:
+                forced = False
+                out = [image(tables, a, cur) for a in width]
+                step = ForcedStep(pos, cur,
+                                  tuple(a for a in width if out[a] is not None and out[a] not in seen),
+                                  tuple(a for a in width if out[a] is None),
+                                  tuple(a for a in width if out[a] in seen))
+        elif defined >> letter & 1:
+            nxt = r0[letter] | r1[letter] | r2[letter] | r3[letter]
+            for row in rows:
+                nxt |= row[letter]
         if nxt is None:
-            raise ValueError(f"word is not defined from the start set (undefined at {pos})")
+            return None, step
         cur = nxt
-    return step
+    return cur, step

@@ -91,8 +91,11 @@ def test_c04_grid_minimality_arbitration():
             failures.append(
                 f"search {None if bfs is None else bfs.length} != builder {built} at d={d}, k={k}"
             )
-        if forced_path_check(auto, word) is not None:
+        final, step = forced_path_check(auto, word)
+        if step is not None:
             failures.append(f"path not forced at d={d}, k={k}")
+        if final != 1:  # {q0^1}
+            failures.append(f"builder word ends at {final} at d={d}, k={k}")
         # recorded erratum: published closed form overshoots by exactly k-1
         if grid_word_claimed_length(d, k) - built != k - 1:
             failures.append(f"claimed-form gap changed at d={d}, k={k}")

@@ -28,7 +28,8 @@ SIGNATURES = {
     "FamilySpec": "(kind: 'str', d: 'int | None' = None, k: 'int | None' = None,"
                   " n: 'int | None' = None, letter_count: 'int | None' = None,"
                   " density: 'float | None' = None, seed: 'int | None' = None) -> None",
-    "forced_path_check": "(pfa: 'Pfa', word: 'Sequence[int]') -> 'ForcedStep | None'",
+    "forced_path_check": "(pfa: 'Pfa', word: 'Sequence[int]')"
+                         " -> 'tuple[int | None, ForcedStep | None]'",
     "ForcedStep": "(position: 'int', subset: 'int', new_letters: 'tuple[int, ...]',"
                   " undefined_letters: 'tuple[int, ...]',"
                   " visited_letters: 'tuple[int, ...]') -> None",

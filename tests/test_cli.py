@@ -194,6 +194,18 @@ def test_check_word_that_loops_is_not_forced(capsys):
     assert "word-forced-path: PASS (path is forced)" in capsys.readouterr().out
 
 
+def test_check_word_through_an_early_singleton_is_not_forced(tmp_path, capsys):
+    # a reaches {0}, so the shortest careful word is a; a b goes on to {1}
+    path = tmp_path / "early.json"
+    path.write_text(automaton_to_json(Pfa(("a", "b"), ((0, 1), (0, None)))))
+    assert main(["check", str(path), "--word", "a b"]) == 1
+    out = capsys.readouterr().out
+    assert "word-verifies: PASS (synchronizes to 1)" in out
+    assert out.endswith("word-forced-path: FAIL (path is not forced at step 1)\n")
+    assert main(["check", str(path), "--word", "a"]) == 0
+    assert "word-forced-path: PASS (path is forced)" in capsys.readouterr().out
+
+
 def test_check_empty_word_is_checked(capsys):
     assert main(["check", "grid:d=2,k=2", "--word", ""]) == 1
     out = capsys.readouterr().out

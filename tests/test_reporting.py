@@ -1,5 +1,6 @@
 from carefulsync import (
     FamilySpec,
+    CheckResult,
     check_battery,
     errata_report,
     gen_grid,
@@ -9,6 +10,7 @@ from carefulsync import (
     sweep,
     sweep_csv,
 )
+from carefulsync import core, reporting
 from carefulsync.core import Pfa
 
 
@@ -133,6 +135,53 @@ def test_check_battery_names_the_first_unforced_step():
     assert results["grid-word"].passed
     assert not results["forced-path"].passed
     assert results["forced-path"].detail == "step 1 is not forced"
+
+
+def test_check_battery_walks_each_word_once(monkeypatch):
+    # the certificate's walk alone gives each word's verdict, where it ends
+    # and its forced path, so nothing runs the word a second time
+    def ran(*args):
+        raise AssertionError("the word was run a second time")
+
+    for module, name in ((core, "run_word"), (core, "is_careful_sync_word"),
+                         (reporting, "run_word"), (reporting, "is_careful_sync_word")):
+        monkeypatch.setattr(module, name, ran)
+    spec = parse_family("grid:d=2,k=3")
+    assert check_battery(spec.build(), spec=spec) == [
+        CheckResult("table-valid", True, "all invariants hold"),
+        CheckResult("merging-letter", True, "letter 'a' is total and merging"),
+        CheckResult("kernel(a)", True, "3 classes; preserving letters: a, b1, b2, b3"),
+        CheckResult("grid-pattern", True, "definedness pattern conforms"),
+        CheckResult("grid-word", True, "builder word of length 13 synchronizes to q0^1"),
+        CheckResult("forced-path", True, "exactly one new subset at every step"),
+    ]
+    g = gen_grid(2, 2)
+    head = check_battery(g)
+    for text, tail in (
+        ("a b1 b2 b1 c2", [CheckResult("word-verifies", True, "synchronizes to q0^1"),
+                           CheckResult("word-forced-path", True, "path is forced")]),
+        ("a a b1 b2 b1 c2", [CheckResult("word-verifies", True, "synchronizes to q0^1"),
+                             CheckResult("word-forced-path", False,
+                                         "path is not forced at step 1")]),
+        ("a b1", [CheckResult("word-verifies", False, "does not carefully synchronize")]),
+        ("b2", [CheckResult("word-verifies", False, "does not carefully synchronize")]),
+    ):
+        assert check_battery(g, word=parse_word(g.letters, text)) == head + tail
+    w = gen_witness()
+    assert check_battery(w, word=parse_word(w.letters, "a b c a b a b b c a"))[-2:] == [
+        CheckResult("word-verifies", True, "synchronizes to 1"),
+        CheckResult("word-forced-path", False, "path is not forced at step 7"),
+    ]
+
+
+def test_check_battery_fails_a_word_through_an_early_singleton():
+    # a reaches {0}, and the shortest careful word is a; a b goes on to {1}
+    pfa = Pfa(("a", "b"), ((0, 1), (0, None)))
+    assert check_battery(pfa, word=(0, 1))[-2:] == [
+        CheckResult("word-verifies", True, "synchronizes to 1"),
+        CheckResult("word-forced-path", False, "path is not forced at step 1"),
+    ]
+    assert check_battery(pfa, word=(0,))[-1] == CheckResult("word-forced-path", True, "path is forced")
 
 
 def test_check_battery_on_grid_metadata_the_generator_rejects():

@@ -270,21 +270,44 @@ def test_subset_distance_rejects_targets_beyond_the_states():
 
 def test_forced_path_on_grid_words():
     for d, k in ((2, 2), (3, 2), (2, 3)):
-        assert forced_path_check(gen_grid(d, k), grid_word(d, k)) is None
+        # every step is forced, and the word ends at {q0^1}
+        assert forced_path_check(gen_grid(d, k), grid_word(d, k)) == (1, None)
 
 
 def test_forced_path_cerny_classic_not_forced():
     # informational only: the classic word's path branches at {q0,q1,q3}
-    step = forced_path_check(gen_cerny(4), cerny_word(4))
+    final, step = forced_path_check(gen_cerny(4), cerny_word(4))
+    assert final == 0b0010
     assert step == ForcedStep(3, 0b1011, new_letters=(0, 1), undefined_letters=(),
                               visited_letters=())
 
 
 def test_forced_path_requires_defined_word():
+    # the published word is undefined at position 7, so it reaches no
+    # subset; its path already loops back at position 4
     pfa = gen_witness()
     word = tuple("abc".index(ch) for ch in "a b c a a a b b c a".split())
-    with pytest.raises(ValueError):
-        forced_path_check(pfa, word)
+    assert forced_path_check(pfa, word) == (
+        None, ForcedStep(4, 0b1010, new_letters=(1,), undefined_letters=(2,), visited_letters=(0,)))
+    # a step whose own letter is undefined is not forced
+    assert forced_path_check(pfa, (1,)) == (
+        None, ForcedStep(0, 0b1111, new_letters=(0,), undefined_letters=(1, 2), visited_letters=()))
+    # the walk stops at the undefined letter, like run_word, before a bad letter
+    assert forced_path_check(pfa, (1, 7))[0] is None
+
+
+def test_forced_path_fails_a_step_from_an_early_singleton():
+    # a reaches {0}, the shortest careful word; b then leads on to {1}
+    pfa = Pfa(("a", "b"), ((0, 1), (0, None)))
+    assert shortest_careful_word(pfa).word == (0,)
+    assert forced_path_check(pfa, (0,)) == (0b01, None)
+    assert forced_path_check(pfa, (0, 1)) == (
+        0b10, ForcedStep(1, 0b01, new_letters=(1,), undefined_letters=(), visited_letters=(0,)))
+    # on one state the empty word is the shortest, so no step is forced
+    one = Pfa(("a",), ((0,),))
+    assert forced_path_check(one, ()) == (1, None)
+    assert forced_path_check(one, (0,)) == (
+        1, ForcedStep(0, 1, new_letters=(), undefined_letters=(), visited_letters=(0,)))
 
 
 def test_forced_path_rejects_out_of_range_letters_and_starts():
@@ -312,36 +335,29 @@ def test_forced_path_records_positions():
     # a a b1 b2 b1 c2 synchronizes, but its second a leads back to the set
     # the first one reached, where only b1 leads anywhere new
     g = gen_grid(2, 2)
-    step = forced_path_check(g, (0, 0, 1, 2, 1, 3))
+    final, step = forced_path_check(g, (0, 0, 1, 2, 1, 3))
+    assert final == 1
     assert step == ForcedStep(1, 0b0101, new_letters=(1,), undefined_letters=(2, 3),
                               visited_letters=(0,))
 
 
 def _forced_path_reference(pfa, word):
-    """The two-pass, per-letter forced-path definition: walk the whole word
+    """The two-pass, per-letter forced-path definition: run the whole word
     from the full set first, then classify every letter's image at each
-    position."""
-    cur = pfa.full_set()
+    position the run reached.  A step from a singleton is never forced."""
+    run = run_word(pfa, pfa.full_set(), word)
     tables = compile_letters(pfa)
     width = range(len(pfa.letters))
-    trace = [cur]
-    for pos, letter in enumerate(word):
-        if letter not in width:
-            raise ValueError(f"letter index {letter} out of range")
-        cur = image(tables, letter, cur)
-        if cur is None:
-            raise ValueError(f"word is not defined from the start set (undefined at {pos})")
-        trace.append(cur)
     seen = set()
-    for pos, (s, letter) in enumerate(zip(trace, word)):
+    for pos, (s, letter) in enumerate(zip(run.trace, word)):
         seen.add(s)
         images = [image(tables, a, s) for a in width]
         new = [a for a, t in enumerate(images) if t is not None and t not in seen]
-        if new != [letter]:
-            return ForcedStep(pos, s, tuple(new),
-                              tuple(a for a, t in enumerate(images) if t is None),
-                              tuple(a for a, t in enumerate(images) if t in seen))
-    return None
+        if new != [letter] or s.bit_count() == 1:
+            return run.final, ForcedStep(pos, s, tuple(new),
+                                         tuple(a for a, t in enumerate(images) if t is None),
+                                         tuple(a for a, t in enumerate(images) if t in seen))
+    return run.final, None
 
 
 def _outcome(check, *args):
@@ -397,18 +413,23 @@ def test_forced_path_matches_the_two_pass_definition():
     for pfa, word in cases:
         expect = _outcome(_forced_path_reference, pfa, word)
         assert _outcome(forced_path_check, pfa, word) == expect
-        outcomes.add(type(expect))
         if isinstance(expect, str):
             outcomes.add(expect.split()[0])
-        elif expect is not None:
+            continue
+        final, step = expect
+        outcomes.add("undefined" if final is None else "defined")
+        outcomes.add(type(step))
+        if step is not None:
             if pfa.n > 32:
                 outcomes.add("wide")
+            if step.subset.bit_count() == 1:
+                outcomes.add("singleton")
             tables = compile_letters(pfa)
-            new = [image(tables, a, expect.subset) for a in expect.new_letters]
+            new = [image(tables, a, step.subset) for a in step.new_letters]
             if len(set(new)) < len(new):
                 outcomes.add("two letters, one new subset")
-    assert outcomes == {type(None), ForcedStep, str, "letter", "word", "wide",
-                        "two letters, one new subset"}
+    assert outcomes == {type(None), ForcedStep, "letter", "defined", "undefined", "wide",
+                        "singleton", "two letters, one new subset"}
 
 
 def test_reachable_count_witness():
