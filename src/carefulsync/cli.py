@@ -71,11 +71,13 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     pfa, _ = _load_automaton(args.automaton)
+    if args.max_wordlen is not None and args.max_wordlen < 0:  # whether or not a word exists
+        raise ValueError(f"word length bound {args.max_wordlen} is negative")
     found = shortest_careful_word(pfa, max_subsets=args.max_subsets)
     if found is None:
         print("not carefully synchronizing", file=sys.stderr)
         return EXIT_NOT_SYNC
-    if args.max_wordlen is not None:  # first, so a bad length or budget prints nothing
+    if args.max_wordlen is not None:  # first, so an oracle over its budget prints nothing
         oracle = brute_force_shortest(pfa, args.max_wordlen, args.max_subsets)
     print(f"word: {format_word(pfa.letters, found.word)}")
     print(f"length: {found.length}")

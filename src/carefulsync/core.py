@@ -123,64 +123,52 @@ def format_state_set(pfa: Pfa, mask: int) -> str:
     return "{" + ",".join(pfa.state_name(q) for q in states_from_bits(mask)) + "}"
 
 
-def compile_letters(pfa: Pfa) -> list[list[tuple[int, ...]]]:
+def compile_letters(pfa: Pfa) -> list[tuple[list[tuple[int, ...]], list[int]]]:
     """Every letter's transitions as 8-bit chunk lookup tables.
 
-    ``compile_letters(pfa)[j][c][a]`` is the image under letter ``a`` of the
-    states ``8j + i`` whose bit ``i`` is set in ``c``, or -1 (every bit set,
-    so it survives the OR of chunk images) when ``a`` is undefined on one of
-    them.  There are at least four chunks, so a kernel can unroll states
-    0..31.  A ragged table raises IndexError and a target outside the states
-    ValueError; nothing is truncated.
+    ``compile_letters(pfa)[j]`` is a pair ``(rows, domains)`` for the states
+    ``8j + i`` whose bit ``i`` is set in a row index ``c``.  ``rows[c][a]``
+    is their image under letter ``a``, or -1 (every bit set, so it survives
+    the OR of chunk images) when ``a`` is undefined on one of them; the mark
+    is one shared small int, so undefined entries cost no memory.  Bit ``a``
+    of ``domains[c]`` is set when ``a`` is defined on all of them, so the
+    AND of a subset's chunk domains is the set of letters defined on it:
+    the BFS kernel and the forced-path certificate in ``search`` compute
+    images only for those letters.  There are at least four chunks, so a
+    kernel can unroll states 0..31.  A ragged table raises IndexError and a
+    target outside the states ValueError; nothing is truncated.
     """
     n = pfa.n
     width = range(len(pfa.letters))
-    tables = []
+    chunks = []
     for lo in range(0, max(n, 32), 8):
         states = range(lo, min(lo + 8, n))
-        # One column of images per letter, doubled once per state, then
-        # transposed into rows; without letters every row is ().
+        # One column of images per letter and the domain rows, doubled once
+        # per state; the columns are then transposed into rows, and without
+        # letters every row is ().
         cols = [[0] for _ in width]
+        domains = [(1 << len(width)) - 1]
         for q in states:
             row = [pfa.delta[q][a] for a in width]
             if any(t is not None and not 0 <= t < n for t in row):
                 raise ValueError(f"delta row {q} has a target outside {n} states")
             for col, t in zip(cols, row):
                 col += list(map(or_, col, repeat(-1 if t is None else 1 << t)))
-        tables.append(list(zip(*cols)) or [()] * (1 << len(states)))
-    return tables
+            defined = sum(1 << a for a, t in enumerate(row) if t is not None)
+            domains += [dom & defined for dom in domains]
+        chunks.append((list(zip(*cols)) or [()] * (1 << len(states)), domains))
+    return chunks
 
 
-def compile_domains(pfa: Pfa) -> list[list[int]]:
-    """The letters defined on each row of :func:`compile_letters`, as bitmasks.
-
-    Bit ``a`` of ``compile_domains(pfa)[j][c]`` is set when letter ``a`` is
-    defined on every state ``8j + i`` whose bit ``i`` is set in ``c``, so
-    the AND of a subset's chunk rows is the set of letters defined on it.
-    Chunks match :func:`compile_letters` one for one.  The BFS kernel and
-    the forced-path certificate in ``search`` read these masks, so each
-    computes images only for the letters defined on a subset.
-    """
-    every = (1 << len(pfa.letters)) - 1
-    domains = []
-    for lo in range(0, max(pfa.n, 32), 8):
-        rows = [every]
-        for q in range(lo, min(lo + 8, pfa.n)):
-            defined = sum(1 << a for a, t in enumerate(pfa.delta[q]) if t is not None)
-            rows += [row & defined for row in rows]
-        domains.append(rows)
-    return domains
-
-
-def image(tables: list[list[tuple[int, ...]]], letter: int, s: int) -> int | None:
+def image(chunks: list[tuple[list[tuple[int, ...]], list[int]]], letter: int, s: int) -> int | None:
     """Image of the subset ``s`` under ``letter``, from :func:`compile_letters`.
 
     Returns ``None`` (the power automaton's "undefined" outcome) when the
     letter is undefined on some member of ``s``.
     """
     out = 0
-    for tab in tables:
-        out |= tab[s & 255][letter]
+    for rows, _ in chunks:
+        out |= rows[s & 255][letter]
         s >>= 8
     return None if out < 0 else out
 

@@ -51,7 +51,8 @@ def load_document(text: str) -> tuple[Pfa, str | None]:
     """Parse a document; returns the automaton and its metadata string.
 
     A table of more than :data:`~carefulsync.families.MAX_TABLE_ENTRIES`
-    entries (states times letters) is rejected before its rows are read.
+    entries (states times letters, at least one per state) is rejected
+    before its rows are read.
     """
     try:
         doc = json.loads(text)
@@ -68,7 +69,7 @@ def load_document(text: str) -> tuple[Pfa, str | None]:
     states = doc.get("states")
     if not isinstance(states, int) or isinstance(states, bool):
         raise ParseError("field 'states' must be an integer")
-    entries = states * len(letters)
+    entries = states * max(len(letters), 1)
     if entries > MAX_TABLE_ENTRIES:
         raise ParseError(f"document has {entries} table entries "
                          f"(states times letters), over the limit of {MAX_TABLE_ENTRIES}")

@@ -17,7 +17,7 @@ from functools import partial
 from operator import or_
 from typing import AbstractSet, Sequence
 
-from .core import Pfa, compile_domains, compile_letters, image
+from .core import Pfa, compile_letters, image
 
 DEFAULT_MAX_SUBSETS = 1 << 24
 
@@ -116,9 +116,8 @@ def _bfs(
         raise CapExceeded(1)
     if start in goals:
         return (), start, 1
-    chunks = list(zip(compile_letters(pfa), compile_domains(pfa)))
-    (t0, d0), (t1, d1), (t2, d2), (t3, d3) = chunks[:4]
-    wide = [(tab, dom, 8 * j) for j, (tab, dom) in enumerate(chunks[4:], 4)]
+    (t0, d0), (t1, d1), (t2, d2), (t3, d3), *wide = compile_letters(pfa)
+    wide = [(tab, dom, 8 * j) for j, (tab, dom) in enumerate(wide, 4)]
     letters = _LetterLists(len(pfa.letters))
     # The visited table reads 1 for a discovered subset, 2 for a goal not
     # yet discovered and 0 otherwise, so a probe is one lookup.  Only the
@@ -298,10 +297,9 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
     """
     if not pfa.n:
         raise ValueError("the automaton has no states")
-    tables = compile_letters(pfa)
-    chunks = list(zip(tables, compile_domains(pfa)))
-    (t0, d0), (t1, d1), (t2, d2), (t3, d3) = chunks[:4]
-    wide = [(tab, dom, 8 * j) for j, (tab, dom) in enumerate(chunks[4:], 4)]
+    chunks = compile_letters(pfa)
+    (t0, d0), (t1, d1), (t2, d2), (t3, d3), *wide = chunks
+    wide = [(tab, dom, 8 * j) for j, (tab, dom) in enumerate(wide, 4)]
     letters = _LetterLists(len(pfa.letters))
     width = range(len(pfa.letters))
     # Subsets on the path so far.  Past the first unforced step the walk
@@ -337,7 +335,7 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
                     new.append(t)
             if new != [nxt] or cur.bit_count() == 1:
                 forced = False
-                out = [image(tables, a, cur) for a in width]
+                out = [image(chunks, a, cur) for a in width]
                 step = ForcedStep(pos, cur,
                                   tuple(a for a in width if out[a] is not None and out[a] not in seen),
                                   tuple(a for a in width if out[a] is None),

@@ -67,10 +67,12 @@ def test_solve_oracle_disagreement_fails(monkeypatch, capsys):
 
 
 def test_solve_oracle_negative_length(capsys):
-    assert main(["solve", "witness", "--max-wordlen", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "negative" in captured.err
+    # the second automaton is not carefully synchronizing
+    for spec in ("witness", "random:n=3,l=1,p=0.5,seed=1"):
+        assert main(["solve", spec, "--max-wordlen", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "negative" in captured.err
 
 
 def test_negative_subset_budget(capsys):

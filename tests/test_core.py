@@ -19,7 +19,7 @@ from carefulsync import (
     total_merging_letter,
     validate,
 )
-from carefulsync.core import compile_domains, compile_letters, image
+from carefulsync.core import compile_letters, image
 
 WITNESS_DELTA = (
     (1, None, 1),
@@ -199,8 +199,14 @@ def test_domains_match_image_for_every_letter():
     pfas += [Pfa((), ((),) * n) for n in (1, 9, 33)]
     undefined = defined = 0
     for pfa in pfas:
-        n, tables, domains = pfa.n, compile_letters(pfa), compile_domains(pfa)
-        assert [len(dom) for dom in domains] == [len(tab) for tab in tables]
+        n, tables = pfa.n, compile_letters(pfa)
+        domains = [dom for _, dom in tables]
+        assert [len(dom) for dom in domains] == [len(rows) for rows, _ in tables]
+        # image reads the -1 mark and the kernel reads the domain bit, so
+        # they agree on every row of every chunk
+        for rows, dom in tables:
+            for row, mask in zip(rows, dom):
+                assert [t == -1 for t in row] == [not mask >> a & 1 for a in range(len(row))]
         subsets = {pfa.full_set(), 1 << (n - 1)}
         subsets |= {rng.getrandbits(n) or 1 for _ in range(50)}
         subsets |= {sum(1 << q for q in rng.sample(range(n), rng.randint(1, min(n, 4))))
@@ -248,7 +254,7 @@ def test_letter_tables_match_the_row_doubling_reference():
     for n, seed in itertools.product((1, 7, 8, 9, 31, 32, 33, 40), range(4)):
         pfa = gen_random(n, 1 + seed, 0.9, seed)
         undefined += sum(row.count(None) for row in pfa.delta)
-        assert compile_letters(pfa) == _compile_letters_by_rows(pfa)
+        assert [rows for rows, _ in compile_letters(pfa)] == _compile_letters_by_rows(pfa)
     assert undefined
     # ragged rows and targets out of range, alone and in either order
     rng = random.Random(9)
@@ -270,7 +276,7 @@ def test_letter_tables_match_the_row_doubling_reference():
 
 def test_letterless_pfa():
     pfa = Pfa((), ((), ()))
-    tables = compile_letters(pfa)
+    tables = [rows for rows, _ in compile_letters(pfa)]
     assert tables == _compile_letters_by_rows(pfa)
     assert tables[0] == [()] * 4
     assert shortest_careful_word(pfa) is None

@@ -77,6 +77,10 @@ def test_parse_rejects_a_table_over_the_limit_before_its_rows():
         load_document(json.dumps({**header, "states": (1 << 19) + 1}))
     assert str(err.value) == ("document has 1048578 table entries (states times letters), "
                               "over the limit of 1048576")
+    # without letters each state still counts as one entry
+    with pytest.raises(ParseError, match="over the limit"):
+        load_document(json.dumps({"format_version": 1, "letters": [], "states": 2**20 + 1,
+                                  "delta": None}))
 
 
 def test_parse_rejects_non_object():
