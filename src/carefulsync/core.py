@@ -44,18 +44,6 @@ class Pfa:
         """Number of states."""
         return len(self.delta)
 
-    def letter_index(self, name: str) -> int:
-        try:
-            return self.letters.index(name)
-        except ValueError:
-            raise ValueError(f"unknown letter {name!r}") from None
-
-    def target(self, state: int, letter: int) -> int | None:
-        return self.delta[state][letter]
-
-    def is_total(self) -> bool:
-        return all(t is not None for row in self.delta for t in row)
-
     def full_set(self) -> int:
         return (1 << self.n) - 1
 
@@ -79,6 +67,8 @@ def validate(pfa: Pfa) -> list[str]:
     for i, name in enumerate(pfa.letters):
         if not name:
             diags.append(f"letter {i} has an empty name")
+        elif "^" in name or name.split() != [name]:  # a word could not spell it
+            diags.append(f"letter name {name!r} contains whitespace or '^'")
         if name in seen:
             diags.append(f"duplicate letter name {name!r}")
         seen.add(name)
@@ -186,10 +176,6 @@ class RunResult:
     final: int | None
     trace: tuple[int, ...]
     undefined_at: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.final is not None
 
 
 def run_word(pfa: Pfa, s: int, word: Sequence[int]) -> RunResult:

@@ -190,7 +190,8 @@ def grid_fact_violations(pfa: Pfa, d: int, k: int) -> list[str]:
 class _Kind(NamedTuple):
     keys: tuple[str, ...]  # spec parameters, in generator-argument order
     build: Callable[..., Pfa]
-    entries: Callable[..., int]  # states times letters, before the generator's checks
+    # states times letters, at least one per state, before the generator's checks
+    entries: Callable[..., int]
 
 
 # Generators are named inside lambdas, so a wrapped module function is the
@@ -203,7 +204,7 @@ _KINDS = {
     "padded": _Kind(("d", "n"), lambda d, n: gen_padded(d, n),
                     lambda d, n: n * (2 * (n // max(d, 2)) + 1)),
     "random": _Kind(("n", "l", "p", "seed"), lambda n, l, p, seed: gen_random(n, l, p, seed),
-                    lambda n, l, p, seed: n * l),
+                    lambda n, l, p, seed: n * max(l, 1)),
 }
 
 _FIELD_NAMES = {"l": "letter_count", "p": "density"}

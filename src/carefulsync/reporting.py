@@ -185,12 +185,14 @@ def check_battery(
     is a counter grid, additionally checks the definedness pattern and the
     forced path along the builder word; a table whose shape does not fit
     the grid, or metadata the grid generator rejects, fails the pattern
-    check and skips the word checks.  When ``word`` is given, checks it and
-    reports its forced-path status.  Each word is walked once, by
-    :func:`~carefulsync.search.forced_path_check`, which gives both its
-    final subset and its first unforced step.  A passing forced path is a
-    sound minimality certificate: no step of it starts from a singleton,
-    so a word that passes through an earlier singleton fails it.
+    check and skips the word checks; a builder word over the word budget
+    raises ValueError (see :func:`~carefulsync.words.grid_word`).  When
+    ``word`` is given, checks it and reports its forced-path status.  Each
+    word is walked once, by :func:`~carefulsync.search.forced_path_check`,
+    which gives both its final subset and its first unforced step.  A
+    passing forced path is a sound minimality certificate: no step of it
+    starts from a singleton, so a word that passes through an earlier
+    singleton fails it.
     """
     results = []
     diags = validate(pfa)
@@ -264,14 +266,10 @@ def _witness_section(lines: list[str]) -> None:
     res = run_word(pfa, pfa.full_set(), word)
     lines.append("[1] 4-state witness: published shortest careful word")
     lines.append(f'    published word "{claimed}", claimed length 10')
-    if res.final is None:
-        lines.append(
-            f"    -> word is undefined at position {res.undefined_at} "
-            f"(no transition from {format_state_set(pfa, res.trace[-1])})"
-        )
-    else:
-        ok, state = is_careful_sync_word(pfa, word)
-        lines.append(f"    -> word runs to {format_state_set(pfa, res.final)}, careful={ok}")
+    lines.append(
+        f"    -> word is undefined at position {res.undefined_at} "
+        f"(no transition from {format_state_set(pfa, res.trace[-1])})"
+    )
     found = shortest_careful_word(pfa)
     lines.append(
         f"    measured shortest length {found.length}: "

@@ -201,20 +201,16 @@ def reachable_subset_count(pfa: Pfa, *, max_subsets: int = DEFAULT_MAX_SUBSETS) 
     return _bfs(pfa, pfa.full_set(), set(), max_subsets)[2]
 
 
-def subset_distance(
-    pfa: Pfa,
-    src: int,
-    dst: int,
-    max_subsets: int = DEFAULT_MAX_SUBSETS,
-) -> int | None:
+def subset_distance(pfa: Pfa, src: int, dst: int) -> int | None:
     """Length of the shortest power-automaton path from ``src`` to exactly ``dst``.
 
     Arrival means mask equality, not inclusion.  Returns ``None`` when
     ``dst`` is unreachable.  Both sets must be nonempty subsets of the states.
+    Raises :class:`CapExceeded` past :data:`DEFAULT_MAX_SUBSETS` subsets.
     """
     if not 0 < dst < 1 << pfa.n:
         raise ValueError(f"target set {dst:#x} must be a nonempty subset of {pfa.n} states")
-    word = _bfs(pfa, src, {dst}, max_subsets)[0]
+    word = _bfs(pfa, src, {dst}, DEFAULT_MAX_SUBSETS)[0]
     return None if word is None else len(word)
 
 

@@ -43,10 +43,14 @@ def grid_word(d: int, k: int) -> tuple[int, ...]:
     """Carefully synchronizing word for the (d, k) counter grid.
 
     ``a``, then for i = k down to 2 the odometer over classes 1..i followed
-    by ``c_i``.  Synchronizes to q_0^1.  Length is ``1 + sum(d^i, i=2..k)``.
+    by ``c_i``.  Synchronizes to q_0^1.  Length is ``1 + sum(d^i, i=2..k)``;
+    a word longer than :data:`MAX_WORD_LEN` raises ValueError before it is
+    built.
     """
-    if d < 2 or k < 2:
-        raise ValueError("requires d >= 2 and k >= 2")
+    length = grid_word_length(d, k)
+    if length > MAX_WORD_LEN:
+        raise ValueError(f"the grid word for d={d}, k={k} has {length} letters, "
+                         f"over the budget of {MAX_WORD_LEN}")
     word = [0]
     for i in range(k, 1, -1):
         word.extend(counting_word(d, range(1, i + 1)))

@@ -73,7 +73,7 @@ def test_c03_odometer_enumeration():
             classes = range(1, i + 1)
             res = run_word(auto, digit_subset(d, classes, 0), counting_word(d, classes))
             expected = tuple(digit_subset(d, classes, t) for t in range(d**i))
-            if not res.ok or res.trace != expected:
+            if res.final is None or res.trace != expected:
                 failures.append(f"trace mismatch at d={d}, i={i}")
     _finish(3, "counting word enumerates all digit sets in base-d order", failures)
 
@@ -127,7 +127,7 @@ def test_c06_padding():
             continue
         if bfs.length < 9:
             failures.append(f"padded(3,{n}) length {bfs.length} below 9")
-        word = (auto.letter_index("p"),) + grid_word(3, 2)
+        word = (auto.letters.index("p"),) + grid_word(3, 2)
         if not is_careful_sync_word(auto, word)[0]:
             failures.append(f"pad-letter word fails for n={n}")
     _finish(6, "padded grids stay synchronizing with the d^2 floor", failures)

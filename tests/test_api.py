@@ -69,8 +69,7 @@ SIGNATURES = {
     "shortest_careful_word": "(pfa: 'Pfa', *,"
                              " max_subsets: 'int' = 16777216) -> 'SearchResult | None'",
     "states_from_bits": "(mask: 'int') -> 'tuple[int, ...]'",
-    "subset_distance": "(pfa: 'Pfa', src: 'int', dst: 'int',"
-                       " max_subsets: 'int' = 16777216) -> 'int | None'",
+    "subset_distance": "(pfa: 'Pfa', src: 'int', dst: 'int') -> 'int | None'",
     "sweep": "(specs: 'Sequence[FamilySpec]', max_subsets: 'int' = 16777216) -> 'list[SweepRow]'",
     "sweep_csv": "(rows: 'Sequence[SweepRow]', include_timings: 'bool' = False) -> 'str'",
     "SweepRow": "(spec: 'str', d: 'int | None', size: 'int | None', states: 'int',"

@@ -1,6 +1,8 @@
 import argparse
 import json
 
+import pytest
+
 from carefulsync import cli
 from carefulsync.cli import _build_parser, main
 from carefulsync.core import Pfa
@@ -161,6 +163,38 @@ def test_check_grid_metadata_the_generator_rejects(tmp_path, capsys):
     assert ("grid-pattern: FAIL (expected 4 states and 8 letters, "
             "found 4 states and 3 letters)") in out
     assert "grid-word" not in out
+
+
+@pytest.mark.parametrize("metadata", ["grid:d=2", "mystery:n=3", "grid:d=x,k=2",
+                                      "random:n=2000000,l=0,p=0.5,seed=1"])
+def test_check_document_whose_metadata_is_not_a_spec(tmp_path, capsys, metadata):
+    # the document loads; without a family spec the grid checks are skipped
+    path = tmp_path / "grid.json"
+    path.write_text(automaton_to_json(gen_grid(2, 2), family=metadata))
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("table-valid: PASS")
+    assert "grid-" not in out and "forced-path" not in out
+
+
+def test_check_grid_over_the_word_budget(capsys):
+    # 1 + 2^2 + ... + 2^30 letters: rejected before the word is built
+    assert main(["check", "grid:d=2,k=30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the grid word for d=2, k=30 has 2147483645 letters" in captured.err
+
+
+def test_letter_names_a_word_cannot_spell(tmp_path, capsys):
+    # with these names the shortest word would print as "x y", which reads
+    # back as two letters, the first unknown
+    path = tmp_path / "names.json"
+    path.write_text(automaton_to_json(Pfa(("x y", "c^2"), ((0, 0), (0, 1)))))
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("letter name 'x y' contains whitespace or '^'; "
+            "letter name 'c^2' contains whitespace or '^'") in captured.err
 
 
 def test_check_grid_whose_builder_word_fails(tmp_path, capsys):

@@ -34,7 +34,7 @@ def test_witness_table():
     assert pfa.letters == ("a", "b", "c")
     assert pfa.delta == WITNESS_DELTA
     assert pfa.n == 4
-    assert not pfa.is_total()
+    assert any(None in row for row in pfa.delta)
 
 
 def test_validate_well_formed():
@@ -67,11 +67,19 @@ def test_validate_no_states():
     assert validate(Pfa(("a",), ())) == ["automaton must have at least one state"]
 
 
-def test_letter_index():
-    pfa = gen_witness()
-    assert pfa.letter_index("c") == 2
-    with pytest.raises(ValueError):
-        pfa.letter_index("z")
+@pytest.mark.parametrize("letters, delta, diag", [
+    (("a", ""), ((0, 0),), "letter 1 has an empty name"),
+    (("a",), ((True,),), "delta[0]['a'] = True is not a state index"),
+    (("a",), (("0",),), "delta[0]['a'] = '0' is not a state index"),
+    (("a",), ((0.0,),), "delta[0]['a'] = 0.0 is not a state index"),
+    # a word could not spell these names: parse_word splits on whitespace
+    # and reads "^" as an exponent
+    (("x y",), ((0,),), "letter name 'x y' contains whitespace or '^'"),
+    (("a\t",), ((0,),), "letter name 'a\\t' contains whitespace or '^'"),
+    (("c^2",), ((0,),), "letter name 'c^2' contains whitespace or '^'"),
+])
+def test_validate_rejections(letters, delta, diag):
+    assert validate(Pfa(letters, delta)) == [diag]
 
 
 def test_bits_round_trip():
@@ -80,23 +88,23 @@ def test_bits_round_trip():
     assert states_from_bits(0) == ()
 
 
-def test_apply_set_full_under_a():
+def test_run_word_one_letter_from_the_full_set():
     pfa = gen_witness()
     assert run_word(pfa, pfa.full_set(), (0,)).final == bits_from_states([1, 2, 3])
 
 
-def test_apply_set_undefined():
+def test_run_word_one_undefined_letter():
     pfa = gen_witness()
     # b has no transition from state 0
     assert run_word(pfa, bits_from_states([0, 2]), (1,)).final is None
 
 
-def test_apply_set_self_loop_singleton():
+def test_run_word_self_loop_keeps_a_singleton():
     pfa = gen_witness()
     assert run_word(pfa, 1 << 1, (0,)).final == 1 << 1
 
 
-def test_apply_set_usage_errors():
+def test_run_word_usage_errors():
     pfa = gen_witness()
     with pytest.raises(ValueError):
         run_word(pfa, 0, (0,))
@@ -108,7 +116,7 @@ def test_run_word_trace():
     pfa = gen_witness()
     word = tuple("abc".index(ch) for ch in "a b c".split())
     res = run_word(pfa, pfa.full_set(), word)
-    assert res.ok
+    assert res.final is not None
     assert res.final == bits_from_states([0, 1, 3])
     assert len(res.trace) == 4
     assert res.trace[0] == pfa.full_set()
@@ -119,7 +127,7 @@ def test_run_word_published_word_is_undefined():
     pfa = gen_witness()
     word = tuple("abc".index(ch) for ch in "a b c a a a b b c a".split())
     res = run_word(pfa, pfa.full_set(), word)
-    assert not res.ok
+    assert res.final is None
     assert res.undefined_at == 7
     assert res.trace[-1] == bits_from_states([0, 2])
 
@@ -158,7 +166,7 @@ def test_careful_word_prefixes_defined():
     pfa = gen_witness()
     word = tuple("abc".index(ch) for ch in "a b c a b a b b c a".split())
     for cut in range(len(word) + 1):
-        assert run_word(pfa, pfa.full_set(), word[:cut]).ok
+        assert run_word(pfa, pfa.full_set(), word[:cut]).final is not None
 
 
 def test_total_merging_letter():
@@ -184,7 +192,7 @@ def test_image_never_grows():
                     assert img != 0
 
 
-def test_apply_set_is_pure():
+def test_run_word_is_pure():
     pfa = gen_witness()
     assert run_word(pfa, 0b1111, (0,)).final == run_word(pfa, 0b1111, (0,)).final
 

@@ -51,9 +51,9 @@ def test_grid_2_2_table():
 def test_grid_spot_rules():
     g = gen_grid(3, 2)
     # class 2's top digit steps down one class on c2: q2^2 -> q0^1
-    assert g.target(5, g.letter_index("c2")) == 0
+    assert g.delta[5][g.letters.index("c2")] == 0
     # lower class, non-top digit has no b2 transition
-    assert g.target(0, g.letter_index("b2")) is None
+    assert g.delta[0][g.letters.index("b2")] is None
 
 
 def test_grid_letters_for_larger_k():
@@ -131,16 +131,16 @@ def test_cerny_table():
     c = gen_cerny(4)
     assert c.letters == ("c1", "c2")
     assert c.delta == ((1, 1), (1, 2), (2, 3), (3, 0))
-    assert c.is_total()
-    assert c.target(0, 0) == 1
-    assert c.target(3, 1) == 0
-    assert c.target(2, 0) == 2
+    assert all(None not in row for row in c.delta)
+    assert c.delta[0][0] == 1
+    assert c.delta[3][1] == 0
+    assert c.delta[2][0] == 2
 
 
 def test_cerny_total_and_synchronizing_range():
     for n in range(2, 11):
         c = gen_cerny(n)
-        assert c.is_total()
+        assert all(None not in row for row in c.delta)
         assert shortest_careful_word(c) is not None
 
 
@@ -152,7 +152,7 @@ def test_chain_tables():
     assert c3.letters == ("c2", "c3")
     assert c3.delta == ((0, 0), (0, 1), (None, 1))
     # i > l rule
-    assert c3.target(2, c3.letter_index("c2")) is None
+    assert c3.delta[2][c3.letters.index("c2")] is None
 
 
 def test_chain_word_synchronizes():
@@ -167,7 +167,7 @@ def test_padded_structure():
     assert p.n == 7
     assert p.letters == ("a", "b1", "b2", "c2", "p")
     core = gen_grid(3, 2)
-    pad = p.letter_index("p")
+    pad = p.letters.index("p")
     for q in range(core.n):
         assert p.delta[q][:4] == core.delta[q]
         assert p.delta[q][pad] == q
@@ -199,7 +199,7 @@ def test_random_determinism():
 
 def test_random_density_extremes():
     total = gen_random(5, 2, 1.0, 7)
-    assert total.is_total()
+    assert all(None not in row for row in total.delta)
     empty = gen_random(3, 2, 0.0, 7)
     assert all(t is None for row in empty.delta for t in row)
     assert shortest_careful_word(empty) is None
@@ -259,3 +259,13 @@ def test_family_spec_rejects_oversized_tables():
     assert parse_family("random:n=1024,l=1024,p=0.5,seed=1").n == 1024  # exactly the limit
     with pytest.raises(ValueError, match=str(limit)):
         parse_family("random:n=1025,l=1024,p=0.5,seed=1")
+
+
+def test_random_spec_counts_one_entry_per_state_without_letters():
+    # as in documents, each state counts as at least one table entry, so a
+    # letterless spec over the limit fails when parsed
+    with pytest.raises(ValueError, match="has 2000000 table entries"):
+        parse_family("random:n=2000000,l=0,p=0.5,seed=1")
+    spec = parse_family("random:n=3,l=0,p=0.5,seed=1")
+    with pytest.raises(ValueError, match="letter_count must be at least 1"):
+        spec.build()

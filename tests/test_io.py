@@ -83,6 +83,24 @@ def test_parse_rejects_a_table_over_the_limit_before_its_rows():
                                   "delta": None}))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("letters", ["a", 1, "c"], "field 'letters' must be a list of strings"),
+    ("letters", "abc", "field 'letters' must be a list of strings"),
+    ("states", "4", "field 'states' must be an integer"),
+    ("states", True, "field 'states' must be an integer"),
+    ("delta", [[1, None, 1], "x", [2, 3, 3], [3, 0, 0]], "delta row 1 is not a list"),
+    ("state_names", ["s0", 1, "s2", "s3"], "field 'state_names' must be a list of strings"),
+    ("state_names", "s0", "field 'state_names' must be a list of strings"),
+    ("metadata", 7, "field 'metadata' must be a string"),
+])
+def test_parse_rejects_malformed_fields(field, value, message):
+    doc = json.loads(automaton_to_json(gen_witness()))
+    doc[field] = value
+    with pytest.raises(ParseError) as err:
+        load_document(json.dumps(doc))
+    assert str(err.value) == message
+
+
 def test_parse_rejects_non_object():
     with pytest.raises(ParseError):
         automaton_from_json("[1, 2]")

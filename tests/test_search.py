@@ -107,7 +107,7 @@ def test_negative_budget_rejected():
             with pytest.raises(ValueError, match="subset budget -1 is negative"):
                 search_fn(pfa, max_subsets=-1)
         with pytest.raises(ValueError, match="subset budget -1 is negative"):
-            subset_distance(pfa, pfa.full_set(), 1, max_subsets=-1)
+            search._bfs(pfa, pfa.full_set(), {1}, -1)
         with pytest.raises(ValueError, match="state-step budget -1 is negative"):
             brute_force_shortest(pfa, 3, max_subsets=-1)
     # a budget of 0 is still a budget, and the start subset counts against it
@@ -117,7 +117,7 @@ def test_negative_budget_rejected():
                 search_fn(pfa, max_subsets=0)
             assert err.value.visited == 1
         with pytest.raises(CapExceeded) as err:
-            subset_distance(pfa, 1, 1, max_subsets=0)
+            search._bfs(pfa, 1, {1}, 0)
         assert err.value.visited == 1
     with pytest.raises(CapExceeded) as err:
         brute_force_shortest(gen_cerny(5), 3, max_subsets=0)
@@ -720,7 +720,7 @@ def test_budget_bounds_visited_table():
     assert peak < 1 << 20
 
 
-def test_search_packs_subsets_and_parents():
+def test_search_packs_parent_links_and_flat_table():
     # 65,520 subsets: 4 bytes each in the parent links and 1 in the flat
     # table, against about 50 as boxed ints
     pfa = gen_cerny(16)
@@ -755,7 +755,7 @@ def test_budgets_past_32_bits_agree_with_the_default(monkeypatch):
             itemsizes.clear()
             return (shortest_careful_word(pfa, max_subsets=cap),
                     reachable_subset_count(pfa, max_subsets=cap),
-                    [subset_distance(pfa, full, dst, max_subsets=cap) for dst in targets])
+                    [search._bfs(pfa, full, {dst}, cap) for dst in targets])
 
         wide = outcomes(1 << 40)
         assert set(itemsizes) == {8}

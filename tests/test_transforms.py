@@ -54,8 +54,8 @@ def test_class_preserving_letters():
     g = gen_grid(3, 2)
     part = kernel_partition(g, 0)
     for name in ("a", "b1", "b2"):
-        assert is_class_preserving(g, g.letter_index(name), part)
-    assert not is_class_preserving(g, g.letter_index("c2"), part)
+        assert is_class_preserving(g, g.letters.index(name), part)
+    assert not is_class_preserving(g, g.letters.index("c2"), part)
 
 
 def test_identity_letter_preserves_any_partition():
@@ -65,12 +65,15 @@ def test_identity_letter_preserves_any_partition():
 
 
 def test_transform_reproduces_grid():
-    for d, k in itertools.product((2, 3, 4), (2, 3)):
+    # the grid is the chain's d-expansion in its table and in its word: the
+    # chain's word c_k .. c_2 lifts to the grid's builder word
+    for d, k in itertools.product((2, 3, 4), range(2, 7)):
         rec = transform(d, gen_chain(k))
         grid = gen_grid(d, k)
         assert rec.result.delta == grid.delta
         assert rec.result.n == d * k
         assert rec.d == d and rec.base.n == k
+        assert lift_word(rec, tuple(range(k - 2, -1, -1))) == grid_word(d, k)
 
 
 def test_transform_of_cerny_shape():
@@ -84,7 +87,7 @@ def test_transform_c_rules_follow_base():
     rec = transform(2, gen_cerny(3))
     auto = rec.result
     # base c2 shifts class i to class i+1 mod 3; fires only from top digits
-    c2 = auto.letter_index("c2")
+    c2 = auto.letters.index("c2")
     assert auto.delta[1][c2] == 2  # q1^1 -> q0^2
     assert auto.delta[5][c2] == 0  # q1^3 -> q0^1
     assert auto.delta[0][c2] is None
@@ -94,7 +97,7 @@ def test_transform_c_rules_follow_base():
 def test_transform_partial_base_leaves_holes():
     base = gen_chain(3)  # base letter c2 is undefined at its top state
     rec = transform(2, base)
-    col = rec.letter_map[base.letter_index("c2")]
+    col = rec.letter_map[base.letters.index("c2")]
     auto = rec.result
     assert auto.delta[1][col] == 0  # class 1 top follows the base self-loop
     assert auto.delta[3][col] == 0  # class 2 top steps down to class 1
@@ -113,9 +116,9 @@ def test_transform_preserving_letters():
     part = kernel_partition(rec.result, 0)
     assert part.size == 3
     for name in ("a", "b1", "b2", "b3"):
-        assert is_class_preserving(rec.result, rec.result.letter_index(name), part)
+        assert is_class_preserving(rec.result, rec.result.letters.index(name), part)
     for name in ("c1", "c2"):
-        assert not is_class_preserving(rec.result, rec.result.letter_index(name), part)
+        assert not is_class_preserving(rec.result, rec.result.letters.index(name), part)
 
 
 def test_non_synchronizing_base_transforms_to_non_synchronizing():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -17,10 +18,11 @@ from carefulsync import (
     grid_word_length,
     is_careful_sync_word,
     min_alt_reps,
+    parse_family,
     parse_word,
     run_word,
 )
-from carefulsync.words import MAX_WORD_LEN
+from carefulsync.words import FAMILY_WORDS, MAX_WORD_LEN
 
 
 def test_counting_word_unrolls():
@@ -84,6 +86,16 @@ def test_word_builder_params():
         grid_word_claimed_length(1, 2)
 
 
+def test_grid_word_within_the_word_budget():
+    # 1 + 2^2 + ... + 2^18 = 524,285 letters fit the budget, 1,048,573 at
+    # k = 19 do not; the padded builder is checked through grid_word
+    assert len(grid_word(2, 18)) == grid_word_length(2, 18) == 524_285
+    build_padded = FAMILY_WORDS["padded"][0]
+    for build, args in ((grid_word, (2, 19)), (grid_word, (2, 30)), (build_padded, (2, 39))):
+        with pytest.raises(ValueError, match="letters, over the budget of 1000000"):
+            build(*args)
+
+
 def test_cerny_word():
     assert cerny_word(4) == (0, 1, 1, 1, 0, 1, 1, 1, 0)
     assert len(cerny_word(4)) == 9
@@ -103,7 +115,7 @@ def test_alt_word_shape():
 def test_alt_word_default_fails_even_n4():
     auto = gen_cerny(4)
     res = run_word(auto, auto.full_set(), cerny_alt_word(4, 1))  # the published tail count
-    assert res.ok
+    assert res.final is not None
     assert res.final == bits_from_states([1, 2])  # two states left, no reset
 
 
@@ -163,7 +175,7 @@ def test_odometer_trace_exact():
         for i in (1, 2, 3):
             classes = range(1, i + 1)
             res = run_word(g, digit_subset(d, classes, 0), counting_word(d, classes))
-            assert res.ok
+            assert res.final is not None
             expected = tuple(digit_subset(d, classes, t) for t in range(d**i))
             assert res.trace == expected
 
@@ -187,6 +199,20 @@ def test_word_text_round_trip():
     letters = ("a", "b1", "c2")
     word = (0, 1, 1, 2, 0)
     assert parse_word(letters, format_word(letters, word)) == word
+
+
+@pytest.mark.parametrize("text", ["witness", "grid:d=3,k=3", "cerny:n=5", "chain:k=4",
+                                  "padded:d=3,n=7", "random:n=3,l=40,p=0.9,seed=2"])
+def test_words_spell_back_from_their_text(text):
+    # the builder word, if the kind has one, every letter once, and a
+    # random word; the random spec names its letters past z x26..x39
+    spec = parse_family(text)
+    letters = spec.build().letters
+    build = FAMILY_WORDS[spec.kind][0]
+    words = [tuple(range(len(letters))), tuple(random.Random(3).choices(range(len(letters)), k=50))]
+    words += [build(*spec.args)] if build else []
+    for word in words:
+        assert parse_word(letters, format_word(letters, word)) == word
 
 
 def test_word_text_exponents():
