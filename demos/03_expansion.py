@@ -28,15 +28,14 @@ n = 3
 base = gen_cerny(n)
 print(f"base: cyclic DFA with {n} states, classic reset word", format_word(base.letters, cerny_word(n)))
 
-rec = transform(2, base)
-auto = rec.result
+auto = transform(2, base)
 print(f"\nexpansion by d=2: {auto.n} states, letters {auto.letters}")
 
-part = kernel_partition(auto, 0)
-keep = [auto.letters[a] for a in range(len(auto.letters)) if is_class_preserving(auto, a, part)]
-print(f"letter 'a' induces {part.size} classes; class-preserving letters: {keep}")
+class_of = kernel_partition(auto, 0)
+keep = [name for a, name in enumerate(auto.letters) if is_class_preserving(auto, a, class_of)]
+print(f"letter 'a' induces {max(class_of) + 1} classes; class-preserving letters: {keep}")
 
-lifted = lift_word(rec, cerny_word(n))
+lifted = lift_word(2, base, cerny_word(n))
 ok, state = is_careful_sync_word(auto, lifted)
 print(f"\nlifted classic word ({len(lifted)} letters) verifies: {ok}")
 print(" ", format_word(auto.letters, lifted))

@@ -56,8 +56,6 @@ from .search import (
 )
 from .transforms import (
     LiftedCernyMeasurement,
-    Partition,
-    TransformRecord,
     is_class_preserving,
     kernel_partition,
     lift_word,

@@ -21,7 +21,6 @@ from .search import CapExceeded, DEFAULT_MAX_SUBSETS, brute_force_shortest, shor
 from .transforms import lift_word, transform
 from .words import (
     FAMILY_WORDS,
-    MAX_WORD_LEN,
     cerny_alt_word,
     cerny_word,
     format_word,
@@ -124,20 +123,17 @@ def _cmd_words(args) -> int:
     spec = parse_family(args.family)
     pfa = spec.build()
     build_word, length, claimed = FAMILY_WORDS[spec.kind]
-    length = length and length(*spec.args)
-    if length is None:
+    if length is None or length(*spec.args) is None:
         raise ValueError(f"no word builder for family {spec.to_string()}")
-    if length > MAX_WORD_LEN:
-        raise ValueError(f"the builder word of {spec.to_string()} has {length} letters, "
-                         f"over the budget of {MAX_WORD_LEN}")
     if spec.kind == "cerny":
+        # both words are built, each within the word budget, before any is printed
         classic = cerny_word(spec.n)
+        minimal = min_alt_reps(spec.n)
+        alt = None if minimal is None else cerny_alt_word(spec.n, minimal)
         print(f"classic-word: {format_word(pfa.letters, classic)}")
         print(f"classic-length: {len(classic)}")
-        minimal = min_alt_reps(spec.n)
         print(f"two-phase-minimal-r: {minimal if minimal is not None else 'none'}")
-        if minimal is not None:
-            alt = cerny_alt_word(spec.n, minimal)
+        if alt is not None:
             print(f"two-phase-word: {format_word(pfa.letters, alt)}")
             print(f"two-phase-length: {len(alt)}")
         return EXIT_OK
@@ -152,16 +148,16 @@ def _cmd_words(args) -> int:
 
 def _cmd_transform(args) -> int:
     base, _ = _load_automaton(args.automaton)
-    rec = transform(args.d, base)
+    auto = transform(args.d, base)
     if args.word is not None:
         base_word = parse_word(base.letters, args.word)
-        lifted = lift_word(rec, base_word)
-        ok, state = is_careful_sync_word(rec.result, lifted)
-        print(f"lifted-word: {format_word(rec.result.letters, lifted)}")
+        lifted = lift_word(args.d, base, base_word)
+        ok, state = is_careful_sync_word(auto, lifted)
+        print(f"lifted-word: {format_word(auto.letters, lifted)}")
         print(f"length: {len(lifted)}")
         print(f"verifies: {'yes' if ok else 'no'}")
         return EXIT_OK if ok else EXIT_NOT_SYNC
-    _emit(automaton_to_json(rec.result), args.out)
+    _emit(automaton_to_json(auto), args.out)
     return EXIT_OK
 
 

@@ -212,17 +212,18 @@ def check_battery(
     for a, name in enumerate(pfa.letters):
         if any(pfa.delta[q][a] is None for q in range(pfa.n)):
             continue
-        part = kernel_partition(pfa, a)
+        class_of = kernel_partition(pfa, a)
         preserving = [
             pfa.letters[b]
             for b in range(len(pfa.letters))
-            if is_class_preserving(pfa, b, part)
+            if is_class_preserving(pfa, b, class_of)
         ]
         results.append(
             CheckResult(
                 f"kernel({name})",
                 True,
-                f"{part.size} classes; preserving letters: {', '.join(preserving) or 'none'}",
+                f"{max(class_of) + 1} classes; "
+                f"preserving letters: {', '.join(preserving) or 'none'}",
             )
         )
     if spec is not None and spec.kind == "grid":
@@ -306,12 +307,12 @@ def _alt_word_section(lines: list[str]) -> None:
 def _distance_section(lines: list[str]) -> None:
     lines.append("[4] odometer distances in expanded automata (all-zeros to all-tops)")
     for d in (2, 3):
-        rec = transform(d, gen_chain(3))
+        auto = transform(d, gen_chain(3))
         for s in (1, 2, 3):
             classes = range(1, s + 1)
             src = digit_subset(d, classes, 0)
             dst = digit_subset(d, classes, d**s - 1)
-            dist = subset_distance(rec.result, src, dst)
+            dist = subset_distance(auto, src, dst)
             expected = d**s - 1
             status = "PASS" if dist == expected else f"FAIL (got {dist})"
             lines.append(f"    d={d} s={s}: distance {dist} = d^s - 1: {status}")

@@ -222,13 +222,14 @@ def brute_force_shortest(
     Words are enumerated in order of increasing length and, within a
     length, lexicographically by letter index, simulating every state
     individually.  Returns ``None`` when no word of length at most
-    ``max_len`` works.  Intended for tiny instances only; agrees with
-    :func:`shortest_careful_word` wherever both apply.  A negative
-    ``max_len`` raises ValueError.  Each extended prefix costs one state
-    step per state, and :class:`CapExceeded` is raised once more than
-    ``max_subsets`` state steps have been taken, so the budget bounds the
-    time whatever the number of states.  A negative ``max_subsets`` raises
-    ValueError too.
+    ``max_len`` works, or once some length has no careful prefix at all,
+    since no longer word can then be careful.  Intended for tiny instances
+    only; agrees with :func:`shortest_careful_word` wherever both apply.
+    A negative ``max_len`` raises ValueError.  Each extended prefix costs
+    one state step per state, and :class:`CapExceeded` is raised once more
+    than ``max_subsets`` state steps have been taken, so the budget bounds
+    the time whatever the number of states.  A negative ``max_subsets``
+    raises ValueError too.
     """
     if max_len < 0:
         raise ValueError(f"word length bound {max_len} is negative")
@@ -243,12 +244,14 @@ def brute_force_shortest(
         # state vector, its length k and its last letter, kept in ``word[k]``.
         word = [0] * (depth + 1)
         stack = [(list(range(n)), 0, 0)]
+        reached = False
         while stack:
             vec, k, last = stack.pop()
             word[k] = last
             if k == depth:
                 if all(q == vec[0] for q in vec):
                     return tuple(word[1:])
+                reached = True
                 continue
             k += 1
             for a, col in columns:
@@ -258,6 +261,8 @@ def brute_force_shortest(
                     if count > max_subsets:
                         raise CapExceeded(count, "state steps")
                     stack.append((nxt, k, a))
+        if not reached:
+            break
     return None
 
 

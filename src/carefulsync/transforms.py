@@ -10,91 +10,44 @@ base word lifts to a careful word for the expansion.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Pfa, bits_from_states, is_careful_sync_word, run_word, states_from_bits
+from .core import Pfa, is_careful_sync_word, run_word, states_from_bits
 from .families import MAX_TABLE_ENTRIES, expand, gen_cerny
-from .words import MAX_WORD_LEN, cerny_alt_word, counting_word, min_alt_reps
+from .words import cerny_alt_word, check_word_budget, counting_word, min_alt_reps
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint state classes covering all states, with a reverse index."""
+def kernel_partition(pfa: Pfa, letter: int) -> tuple[int, ...]:
+    """Each state's class index under the kernel of a total letter.
 
-    classes: tuple[int, ...]
-    class_of: tuple[int, ...]
-
-    @classmethod
-    def from_classes(cls, n: int, classes: Sequence[int]) -> "Partition":
-        class_of = [-1] * n
-        union = 0
-        for idx, mask in enumerate(classes):
-            if union & mask:
-                raise ValueError("classes overlap")
-            union |= mask
-            for q in states_from_bits(mask):
-                class_of[q] = idx
-        if union != (1 << n) - 1:
-            raise ValueError("classes do not cover all states")
-        return cls(tuple(classes), tuple(class_of))
-
-    @property
-    def size(self) -> int:
-        return len(self.classes)
-
-
-def kernel_partition(pfa: Pfa, letter: int) -> Partition:
-    """Partition states by equal image under a total letter.
-
-    Two states are equivalent when the letter sends them to the same
-    target.  The letter must be defined everywhere, otherwise the relation
-    is partial and a ValueError is raised.  Classes are ordered by their
-    smallest member.
+    Two states share a class when the letter sends them to the same
+    target.  Classes are numbered 0, 1, ... by their smallest member.  The
+    letter must be defined everywhere, otherwise the relation is partial
+    and a ValueError is raised.
     """
-    groups: dict[int, list[int]] = defaultdict(list)
-    for q in range(pfa.n):
-        t = pfa.delta[q][letter]
-        if t is None:
-            raise ValueError(
-                f"letter {pfa.letters[letter]!r} is not total; kernel undefined"
-            )
-        groups[t].append(q)
-    classes = sorted(groups.values(), key=min)
-    return Partition.from_classes(pfa.n, [bits_from_states(c) for c in classes])
+    column = [row[letter] for row in pfa.delta]
+    if None in column:
+        raise ValueError(f"letter {pfa.letters[letter]!r} is not total; kernel undefined")
+    index: dict[int, int] = {}
+    return tuple(index.setdefault(t, len(index)) for t in column)
 
 
-def is_class_preserving(pfa: Pfa, letter: int, partition: Partition) -> bool:
+def is_class_preserving(pfa: Pfa, letter: int, class_of: Sequence[int]) -> bool:
     """True when every defined transition of the letter stays inside its class."""
-    for q in range(pfa.n):
-        t = pfa.delta[q][letter]
-        if t is not None and partition.class_of[t] != partition.class_of[q]:
-            return False
-    return True
+    return all(row[letter] is None or class_of[row[letter]] == class_of[q]
+               for q, row in enumerate(pfa.delta))
 
 
-@dataclass(frozen=True)
-class TransformRecord:
-    """A base automaton together with its d-counter expansion.
-
-    ``letter_map[b]`` is the expansion's c-letter index for base letter b.
-    """
-
-    base: Pfa
-    d: int
-    result: Pfa
-    letter_map: tuple[int, ...]
-
-
-def transform(d: int, base: Pfa) -> TransformRecord:
+def transform(d: int, base: Pfa) -> Pfa:
     """Expand each base state into a class of d digit-states.
 
     The result has ``d * k`` states under the canonical layout and alphabet
     ``a``, ``b1..bk``, then one c-letter per base letter (named ``c1..cs``
-    positionally), as built by :func:`carefulsync.families.expand`.  An
-    expansion of more than :data:`~carefulsync.families.MAX_TABLE_ENTRIES`
-    table entries raises ValueError before it is built.
+    positionally, so base letter b is letter ``k + 1 + b``), as built by
+    :func:`carefulsync.families.expand`.  An expansion of more than
+    :data:`~carefulsync.families.MAX_TABLE_ENTRIES` table entries raises
+    ValueError before it is built.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -105,33 +58,40 @@ def transform(d: int, base: Pfa) -> TransformRecord:
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(f"the {d}-expansion has {entries} table entries "
                          f"(states times letters), over the limit of {MAX_TABLE_ENTRIES}")
-    result = expand(d, base, [f"c{l}" for l in range(1, s + 1)])
-    return TransformRecord(base=base, d=d, result=result, letter_map=tuple(range(k + 1, k + 1 + s)))
+    return expand(d, base, [f"c{l}" for l in range(1, s + 1)])
 
 
-def lift_word(rec: TransformRecord, base_word: Sequence[int]) -> tuple[int, ...]:
-    """Lift a (careful) synchronizing base word to the expansion.
+def _check_lift_floor(d: int, k: int) -> None:
+    # every lifted word of a k-state base opens with ``a`` and the odometer
+    # over all k classes: d^k letters
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    check_word_budget(f"opening of every lifted word for d={d}, k={k}", d**k)
 
-    Emits ``a``, the odometer over all classes, then for each base letter
-    its c-letter followed by the odometer over the classes still active in
-    the base (recomputed by simulating the base, not trusted from the
-    caller); nothing follows the final c-letter.  The base word must
-    carefully synchronize the base automaton, and the lifted word must have
-    at most :data:`~carefulsync.words.MAX_WORD_LEN` letters, else ValueError.
+
+def lift_word(d: int, base: Pfa, base_word: Sequence[int]) -> tuple[int, ...]:
+    """Lift a (careful) synchronizing base word to the d-expansion of ``base``.
+
+    Emits ``a``, the odometer over all classes, then for each base letter b
+    its c-letter ``k + 1 + b`` followed by the odometer over the classes
+    still active in the base (recomputed by simulating the base, not
+    trusted from the caller); nothing follows the final c-letter.  The base
+    word must carefully synchronize the base automaton, and the lifted word
+    must have at most :data:`~carefulsync.words.MAX_WORD_LEN` letters, else
+    ValueError; the d^k floor is checked before the base is simulated.
     """
-    base = rec.base
+    k = base.n
+    _check_lift_floor(d, k)
     res = run_word(base, base.full_set(), base_word)
     if res.final is None or res.final.bit_count() != 1:
         raise ValueError("base word does not carefully synchronize the base automaton")
-    k, d = base.n, rec.d
     length = d**k + len(base_word) + sum(d ** t.bit_count() - 1 for t in res.trace[1:-1])
-    if length > MAX_WORD_LEN:
-        raise ValueError(f"the lifted word has {length} letters, over the budget of {MAX_WORD_LEN}")
+    check_word_budget("lifted word", length)
     word: list[int] = [0]
     word.extend(counting_word(d, range(1, k + 1)))
     last = len(base_word) - 1
     for pos, letter in enumerate(base_word):
-        word.append(rec.letter_map[letter])
+        word.append(k + 1 + letter)
         if pos == last:
             break
         active = [q + 1 for q in states_from_bits(res.trace[pos + 1])]
@@ -160,14 +120,15 @@ def lifted_cerny_measurement(d: int, n: int) -> LiftedCernyMeasurement:
 
     The base word is the two-phase reset word with the smallest working
     tail count.  Raises ValueError when the lifted word would exceed the
-    budget of :func:`lift_word`.
+    budget of :func:`lift_word`, from its d^n floor before any word is built.
     """
     if d < 2 or n < 3:
         raise ValueError("requires d >= 2 and n >= 3")
+    _check_lift_floor(d, n)
     base_word = cerny_alt_word(n, min_alt_reps(n))
-    rec = transform(d, gen_cerny(n))
-    lifted = lift_word(rec, base_word)
-    ok, _ = is_careful_sync_word(rec.result, lifted)
+    base = gen_cerny(n)
+    lifted = lift_word(d, base, base_word)
+    ok, _ = is_careful_sync_word(transform(d, base), lifted)
     return LiftedCernyMeasurement(
         d=d,
         n=n,

@@ -14,9 +14,16 @@ from typing import Iterable, Sequence
 from .core import compile_letters, image
 from .families import gen_cerny
 
-# The longest word a family's builder is asked for, and the longest word
-# :func:`parse_word` accepts.
+# The longest word a builder here (or :func:`carefulsync.transforms.lift_word`)
+# builds, and the longest word :func:`parse_word` accepts.  Each builder
+# checks its closed-form length with :func:`check_word_budget` first.
 MAX_WORD_LEN = 1_000_000
+
+
+def check_word_budget(what: str, length: int) -> None:
+    """Raise ValueError when ``what`` has more than MAX_WORD_LEN letters."""
+    if length > MAX_WORD_LEN:
+        raise ValueError(f"the {what} has {length} letters, over the budget of {MAX_WORD_LEN}")
 
 
 def counting_word(d: int, indices: Iterable[int]) -> tuple[int, ...]:
@@ -33,6 +40,7 @@ def counting_word(d: int, indices: Iterable[int]) -> tuple[int, ...]:
     idx = sorted(set(indices))
     if idx and idx[0] < 1:
         raise ValueError("class indices are 1-based")
+    check_word_budget(f"odometer word over {len(idx)} classes", d ** len(idx) - 1)
     word: tuple[int, ...] = ()
     for m in idx:
         word = (word + (m,)) * (d - 1) + word
@@ -43,14 +51,9 @@ def grid_word(d: int, k: int) -> tuple[int, ...]:
     """Carefully synchronizing word for the (d, k) counter grid.
 
     ``a``, then for i = k down to 2 the odometer over classes 1..i followed
-    by ``c_i``.  Synchronizes to q_0^1.  Length is ``1 + sum(d^i, i=2..k)``;
-    a word longer than :data:`MAX_WORD_LEN` raises ValueError before it is
-    built.
+    by ``c_i``.  Synchronizes to q_0^1.  Length is ``1 + sum(d^i, i=2..k)``.
     """
-    length = grid_word_length(d, k)
-    if length > MAX_WORD_LEN:
-        raise ValueError(f"the grid word for d={d}, k={k} has {length} letters, "
-                         f"over the budget of {MAX_WORD_LEN}")
+    check_word_budget(f"grid word for d={d}, k={k}", grid_word_length(d, k))
     word = [0]
     for i in range(k, 1, -1):
         word.extend(counting_word(d, range(1, i + 1)))
@@ -81,6 +84,7 @@ def cerny_word(n: int) -> tuple[int, ...]:
     """Classic reset word (c1 c2^(n-1))^(n-2) c1 of length (n-1)^2."""
     if n < 2:
         raise ValueError("n must be at least 2")
+    check_word_budget(f"classic reset word for n={n}", (n - 1) ** 2)
     return ((0,) + (1,) * (n - 1)) * (n - 2) + (0,)
 
 
@@ -94,6 +98,7 @@ def cerny_alt_word(n: int, r: int) -> tuple[int, ...]:
         raise ValueError("n must be at least 3")
     if r < 0:
         raise ValueError(f"tail repetition count {r} is negative")
+    check_word_budget(f"two-phase word for n={n}, r={r}", 3 * ((n + 1) // 2) + n * r + 1)
     return (0, 1, 1) * ((n + 1) // 2) + ((0,) + (1,) * (n - 1)) * r + (0,)
 
 

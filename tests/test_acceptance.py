@@ -141,14 +141,14 @@ def test_c07_expansion_iff():
     ):
         base = gen_random(n, l, p, seed)
         base_res = shortest_careful_word(base)
-        rec = transform(2, base)
-        lifted_res = shortest_careful_word(rec.result)
+        auto = transform(2, base)
+        lifted_res = shortest_careful_word(auto)
         if (base_res is None) != (lifted_res is None):
             failures.append(f"iff broken at n={n}, l={l}, p={p}, seed={seed}")
             continue
         if base_res is not None:
-            lifted = lift_word(rec, base_res.word)
-            if not is_careful_sync_word(rec.result, lifted)[0]:
+            lifted = lift_word(2, base, base_res.word)
+            if not is_careful_sync_word(auto, lifted)[0]:
                 failures.append(f"lift fails at n={n}, l={l}, p={p}, seed={seed}")
             if lifted_res.length < 2**n:
                 failures.append(f"floor broken at n={n}, l={l}, p={p}, seed={seed}")
@@ -161,11 +161,11 @@ def test_c07_expansion_iff():
 def test_c08_odometer_distances():
     failures = []
     for d in (2, 3):
-        rec = transform(d, gen_chain(3))
+        auto = transform(d, gen_chain(3))
         for s in (1, 2, 3):
             classes = range(1, s + 1)
             dist = subset_distance(
-                rec.result, digit_subset(d, classes, 0), digit_subset(d, classes, d**s - 1)
+                auto, digit_subset(d, classes, 0), digit_subset(d, classes, d**s - 1)
             )
             if dist != d**s - 1:
                 failures.append(f"d={d}, s={s}: distance {dist} != {d**s - 1}")
@@ -215,7 +215,7 @@ def test_c11_expanded_cyclic_measurements():
             failures.append(f"n={n}: lifted word fails")
         if not (2**n <= m.word_length <= (m.base_word_length + 1) * 2**n):
             failures.append(f"n={n}: length {m.word_length} outside sandwich")
-    exact = shortest_careful_word(transform(2, gen_cerny(3)).result)
+    exact = shortest_careful_word(transform(2, gen_cerny(3)))
     print(f"  exact shortest for the expanded 3-state cyclic DFA (d=2): {exact.length}")
     if exact.length < 2**3:
         failures.append(f"exact value {exact.length} below the 2^3 floor")

@@ -46,9 +46,9 @@ SIGNATURES = {
     "grid_word_claimed_length": "(d: 'int', k: 'int') -> 'int'",
     "grid_word_length": "(d: 'int', k: 'int') -> 'int'",
     "is_careful_sync_word": "(pfa: 'Pfa', word: 'Sequence[int]') -> 'tuple[bool, int | None]'",
-    "is_class_preserving": "(pfa: 'Pfa', letter: 'int', partition: 'Partition') -> 'bool'",
-    "kernel_partition": "(pfa: 'Pfa', letter: 'int') -> 'Partition'",
-    "lift_word": "(rec: 'TransformRecord', base_word: 'Sequence[int]') -> 'tuple[int, ...]'",
+    "is_class_preserving": "(pfa: 'Pfa', letter: 'int', class_of: 'Sequence[int]') -> 'bool'",
+    "kernel_partition": "(pfa: 'Pfa', letter: 'int') -> 'tuple[int, ...]'",
+    "lift_word": "(d: 'int', base: 'Pfa', base_word: 'Sequence[int]') -> 'tuple[int, ...]'",
     "lifted_cerny_measurement": "(d: 'int', n: 'int') -> 'LiftedCernyMeasurement'",
     "LiftedCernyMeasurement": "(d: 'int', n: 'int', base_word_length: 'int', word_length: 'int',"
                               " synchronizes: 'bool', lower_bound_ok: 'bool') -> None",
@@ -57,7 +57,6 @@ SIGNATURES = {
     "parse_family": "(text: 'str') -> 'FamilySpec'",
     "parse_word": "(letters: 'Sequence[str]', text: 'str') -> 'tuple[int, ...]'",
     "ParseError": None,
-    "Partition": "(classes: 'tuple[int, ...]', class_of: 'tuple[int, ...]') -> None",
     "Pfa": "(letters: 'tuple[str, ...]', delta: 'tuple[tuple[int | None, ...], ...]',"
            " state_names: 'tuple[str, ...] | None' = None) -> None",
     "reachable_subset_count": "(pfa: 'Pfa', *, max_subsets: 'int' = 16777216) -> 'int'",
@@ -77,9 +76,7 @@ SIGNATURES = {
                 " claimed_length: 'int | None', visited_subsets: 'int',"
                 " wall_time_s: 'float') -> None",
     "total_merging_letter": "(pfa: 'Pfa') -> 'int | None'",
-    "transform": "(d: 'int', base: 'Pfa') -> 'TransformRecord'",
-    "TransformRecord": "(base: 'Pfa', d: 'int', result: 'Pfa',"
-                       " letter_map: 'tuple[int, ...]') -> None",
+    "transform": "(d: 'int', base: 'Pfa') -> 'Pfa'",
     "validate": "(pfa: 'Pfa') -> 'list[str]'",
     "ValidationError": "(diagnostics: 'list[str]')",
 }

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from carefulsync import cli
+from carefulsync import cli, words
 from carefulsync.cli import _build_parser, main
 from carefulsync.core import Pfa
 from carefulsync.families import gen_grid, gen_witness
@@ -298,6 +298,20 @@ def test_words_over_the_word_budget(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "2097149 letters" in captured.err
+    # (524,288 - 1)^2 letters: the classic reset word refuses itself
+    assert main(["words", "--family", "cerny:n=524288"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "274876858369 letters, over the budget of 1000000" in captured.err
+
+
+def test_words_cerny_prints_nothing_when_one_word_is_over_the_budget(monkeypatch, capsys):
+    # the classic word for n=6 has 25 letters, the two-phase word 34
+    monkeypatch.setattr(words, "MAX_WORD_LEN", 25)
+    assert main(["words", "--family", "cerny:n=6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "two-phase word for n=6, r=4 has 34 letters" in captured.err
 
 
 def test_words_grid(capsys):

@@ -170,6 +170,12 @@ def test_brute_force_budget_bounds_time_on_many_states():
     assert err.value.visited == 1100 * (search.DEFAULT_MAX_SUBSETS // 1100 + 1)
 
 
+def test_brute_force_stops_at_the_first_length_without_a_careful_prefix():
+    # ``a`` is undefined at state 0, so no word of length 1 is careful and
+    # neither is any longer one; the bound of 10^9 is never enumerated
+    assert brute_force_shortest(Pfa(("a",), ((None,), (0,))), 10**9) is None
+
+
 def test_brute_force_negative_length_rejected():
     with pytest.raises(ValueError):
         brute_force_shortest(gen_witness(), -1)
@@ -229,24 +235,24 @@ def test_subset_distance_same_set():
 
 
 def test_subset_distance_in_expansions():
-    rec2 = transform(2, gen_chain(2))
+    auto2 = transform(2, gen_chain(2))
     assert (
-        subset_distance(rec2.result, digit_subset(2, [1, 2], 0), digit_subset(2, [1, 2], 3))
+        subset_distance(auto2, digit_subset(2, [1, 2], 0), digit_subset(2, [1, 2], 3))
         == 3
     )
-    rec3 = transform(3, gen_chain(2))
+    auto3 = transform(3, gen_chain(2))
     assert (
-        subset_distance(rec3.result, digit_subset(3, [1, 2], 0), digit_subset(3, [1, 2], 8))
+        subset_distance(auto3, digit_subset(3, [1, 2], 0), digit_subset(3, [1, 2], 8))
         == 8
     )
 
 
 def test_subset_distance_sparse_classes():
     # non-contiguous class sets count the same way
-    rec = transform(2, gen_chain(3))
+    auto = transform(2, gen_chain(3))
     src = digit_subset(2, [1, 3], 0)
     dst = digit_subset(2, [1, 3], 3)
-    assert subset_distance(rec.result, src, dst) == 3
+    assert subset_distance(auto, src, dst) == 3
 
 
 def test_subset_distance_unreachable():

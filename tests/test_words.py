@@ -96,6 +96,17 @@ def test_grid_word_within_the_word_budget():
             build(*args)
 
 
+def test_word_builders_within_the_word_budget():
+    # each builder's longest word within the budget, and a word over it;
+    # the lengths are d^|S| - 1, (n-1)^2 and 3 * 2 + 3r + 1
+    for build, fits, over in ((counting_word, (1_000_001, [1]), (2, range(1, 40))),
+                              (cerny_word, (1001,), (524_288,)),
+                              (cerny_alt_word, (3, 333_331), (3, 333_332))):
+        assert len(build(*fits)) == MAX_WORD_LEN
+        with pytest.raises(ValueError, match="letters, over the budget of 1000000"):
+            build(*over)
+
+
 def test_cerny_word():
     assert cerny_word(4) == (0, 1, 1, 1, 0, 1, 1, 1, 0)
     assert len(cerny_word(4)) == 9
@@ -186,7 +197,7 @@ def test_odometer_trace_sparse_classes():
     assert res.trace == tuple(digit_subset(2, [1, 3], t) for t in range(4))
 
 
-def test_length_report_flags():
+def test_sweep_row_agreement_flags():
     row = SweepRow("grid:d=2,k=3", 2, 3, 6, "ok", 10, 10, 11, 100, 0.0)
     assert row.agree_builder_bfs is True
     assert row.agree_claimed_bfs is False
