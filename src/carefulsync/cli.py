@@ -121,24 +121,25 @@ def _cmd_check(args) -> int:
 
 def _cmd_words(args) -> int:
     spec = parse_family(args.family)
-    pfa = spec.build()
     build_word, length, claimed = FAMILY_WORDS[spec.kind]
     if length is None or length(*spec.args) is None:
         raise ValueError(f"no word builder for family {spec.to_string()}")
+    # every word is built, each within the word budget, before the automaton
+    # is built for its letter names and anything is printed
     if spec.kind == "cerny":
-        # both words are built, each within the word budget, before any is printed
         classic = cerny_word(spec.n)
         minimal = min_alt_reps(spec.n)
         alt = None if minimal is None else cerny_alt_word(spec.n, minimal)
-        print(f"classic-word: {format_word(pfa.letters, classic)}")
+        letters = spec.build().letters
+        print(f"classic-word: {format_word(letters, classic)}")
         print(f"classic-length: {len(classic)}")
         print(f"two-phase-minimal-r: {minimal if minimal is not None else 'none'}")
         if alt is not None:
-            print(f"two-phase-word: {format_word(pfa.letters, alt)}")
+            print(f"two-phase-word: {format_word(letters, alt)}")
             print(f"two-phase-length: {len(alt)}")
         return EXIT_OK
     word = build_word(*spec.args)
-    print(f"word: {format_word(pfa.letters, word)}")
+    print(f"word: {format_word(spec.build().letters, word)}")
     print(f"length: {len(word)}")
     claimed = claimed and claimed(*spec.args)
     if claimed is not None:

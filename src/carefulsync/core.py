@@ -14,8 +14,6 @@ subset), which keeps subset images cheap inside power-automaton loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import or_
 from typing import Iterable, Sequence
 
 
@@ -113,54 +111,26 @@ def format_state_set(pfa: Pfa, mask: int) -> str:
     return "{" + ",".join(pfa.state_name(q) for q in states_from_bits(mask)) + "}"
 
 
-def compile_letters(pfa: Pfa) -> list[tuple[list[tuple[int, ...]], list[int]]]:
-    """Every letter's transitions as 8-bit chunk lookup tables.
-
-    ``compile_letters(pfa)[j]`` is a pair ``(rows, domains)`` for the states
-    ``8j + i`` whose bit ``i`` is set in a row index ``c``.  ``rows[c][a]``
-    is their image under letter ``a``, or -1 (every bit set, so it survives
-    the OR of chunk images) when ``a`` is undefined on one of them; the mark
-    is one shared small int, so undefined entries cost no memory.  Bit ``a``
-    of ``domains[c]`` is set when ``a`` is defined on all of them, so the
-    AND of a subset's chunk domains is the set of letters defined on it:
-    the BFS kernel and the forced-path certificate in ``search`` compute
-    images only for those letters.  There are at least four chunks, so a
-    kernel can unroll states 0..31.  A ragged table raises IndexError and a
-    target outside the states ValueError; nothing is truncated.
-    """
-    n = pfa.n
-    width = range(len(pfa.letters))
-    chunks = []
-    for lo in range(0, max(n, 32), 8):
-        states = range(lo, min(lo + 8, n))
-        # One column of images per letter and the domain rows, doubled once
-        # per state; the columns are then transposed into rows, and without
-        # letters every row is ().
-        cols = [[0] for _ in width]
-        domains = [(1 << len(width)) - 1]
-        for q in states:
-            row = [pfa.delta[q][a] for a in width]
-            if any(t is not None and not 0 <= t < n for t in row):
-                raise ValueError(f"delta row {q} has a target outside {n} states")
-            for col, t in zip(cols, row):
-                col += list(map(or_, col, repeat(-1 if t is None else 1 << t)))
-            defined = sum(1 << a for a, t in enumerate(row) if t is not None)
-            domains += [dom & defined for dom in domains]
-        chunks.append((list(zip(*cols)) or [()] * (1 << len(states)), domains))
-    return chunks
-
-
-def image(chunks: list[tuple[list[tuple[int, ...]], list[int]]], letter: int, s: int) -> int | None:
-    """Image of the subset ``s`` under ``letter``, from :func:`compile_letters`.
+def image(pfa: Pfa, letter: int, s: int) -> int | None:
+    """Image of the subset ``s`` under ``letter``, read from ``pfa.delta``.
 
     Returns ``None`` (the power automaton's "undefined" outcome) when the
-    letter is undefined on some member of ``s``.
+    letter is undefined on some member of ``s``.  Only the rows of the
+    members are read: a target outside the states there raises ValueError,
+    and a row too short for ``letter`` IndexError.
     """
-    out = 0
-    for rows, _ in chunks:
-        out |= rows[s & 255][letter]
-        s >>= 8
-    return None if out < 0 else out
+    delta, n, out = pfa.delta, pfa.n, 0
+    while s:
+        low = s & -s
+        q = low.bit_length() - 1
+        t = delta[q][letter]
+        if t is None:
+            return None
+        if not 0 <= t < n:
+            raise ValueError(f"delta row {q} has a target outside {n} states")
+        out |= 1 << t
+        s ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -179,16 +149,20 @@ class RunResult:
 
 
 def run_word(pfa: Pfa, s: int, word: Sequence[int]) -> RunResult:
-    """Apply a word letter by letter from subset ``s``, keeping the trace."""
+    """Apply a word letter by letter from subset ``s``, keeping the trace.
+
+    Each step is one :func:`image`, so only the rows of the states the walk
+    meets are read, and a bad entry there raises as :func:`image` says.  A
+    letter index outside the alphabet raises ValueError.
+    """
     if not 0 < s < 1 << pfa.n:
         raise ValueError(f"cannot run a word from {s:#x}: not a nonempty subset of the states")
-    tables = compile_letters(pfa)
     trace = [s]
     cur = s
     for pos, letter in enumerate(word):
         if not 0 <= letter < len(pfa.letters):
             raise ValueError(f"letter index {letter} out of range")
-        cur = image(tables, letter, cur)
+        cur = image(pfa, letter, cur)
         if cur is None:
             return RunResult(None, tuple(trace), undefined_at=pos)
         trace.append(cur)

@@ -14,10 +14,11 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from operator import or_
 from typing import AbstractSet, Sequence
 
-from .core import Pfa, compile_letters, image
+from .core import Pfa, image
 
 DEFAULT_MAX_SUBSETS = 1 << 24
 
@@ -56,6 +57,43 @@ class SearchResult:
     @property
     def length(self) -> int:
         return len(self.word)
+
+
+def compile_letters(pfa: Pfa) -> list[tuple[list[tuple[int, ...]], list[int]]]:
+    """Every letter's transitions as 8-bit chunk lookup tables.
+
+    ``compile_letters(pfa)[j]`` is a pair ``(rows, domains)`` for the states
+    ``8j + i`` whose bit ``i`` is set in a row index ``c``.  ``rows[c][a]``
+    is their image under letter ``a``, or -1 (every bit set, so it survives
+    the OR of chunk images) when ``a`` is undefined on one of them; the mark
+    is one shared small int, so undefined entries cost no memory.  Bit ``a``
+    of ``domains[c]`` is set when ``a`` is defined on all of them, so the
+    AND of a subset's chunk domains is the set of letters defined on it:
+    the BFS kernel and the forced-path certificate in ``search`` compute
+    images only for those letters.  There are at least four chunks, so a
+    kernel can unroll states 0..31.  A ragged table raises IndexError and a
+    target outside the states ValueError; nothing is truncated.
+    """
+    n = pfa.n
+    width = range(len(pfa.letters))
+    chunks = []
+    for lo in range(0, max(n, 32), 8):
+        states = range(lo, min(lo + 8, n))
+        # One column of images per letter and the domain rows, doubled once
+        # per state; the columns are then transposed into rows, and without
+        # letters every row is ().
+        cols = [[0] for _ in width]
+        domains = [(1 << len(width)) - 1]
+        for q in states:
+            row = [pfa.delta[q][a] for a in width]
+            if any(t is not None and not 0 <= t < n for t in row):
+                raise ValueError(f"delta row {q} has a target outside {n} states")
+            for col, t in zip(cols, row):
+                col += list(map(or_, col, repeat(-1 if t is None else 1 << t)))
+            defined = sum(1 << a for a, t in enumerate(row) if t is not None)
+            domains += [dom & defined for dom in domains]
+        chunks.append((list(zip(*cols)) or [()] * (1 << len(states)), domains))
+    return chunks
 
 
 class _LetterLists(dict):
@@ -298,8 +336,7 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
     """
     if not pfa.n:
         raise ValueError("the automaton has no states")
-    chunks = compile_letters(pfa)
-    (t0, d0), (t1, d1), (t2, d2), (t3, d3), *wide = chunks
+    (t0, d0), (t1, d1), (t2, d2), (t3, d3), *wide = compile_letters(pfa)
     wide = [(tab, dom, 8 * j) for j, (tab, dom) in enumerate(wide, 4)]
     letters = _LetterLists(len(pfa.letters))
     width = range(len(pfa.letters))
@@ -336,7 +373,7 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
                     new.append(t)
             if new != [nxt] or cur.bit_count() == 1:
                 forced = False
-                out = [image(chunks, a, cur) for a in width]
+                out = [image(pfa, a, cur) for a in width]
                 step = ForcedStep(pos, cur,
                                   tuple(a for a in width if out[a] is not None and out[a] not in seen),
                                   tuple(a for a in width if out[a] is None),

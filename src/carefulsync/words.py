@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import compile_letters, image
+from .core import Pfa, image
 from .families import gen_cerny
 
 # The longest word a builder here (or :func:`carefulsync.transforms.lift_word`)
@@ -106,21 +106,25 @@ def min_alt_reps(n: int) -> int | None:
     """Smallest tail count r making the two-phase word reset the cyclic DFA.
 
     Found in one walk: the head once, then per r the final ``c1`` and one
-    more tail block.  At r = n-2 the word is the head then :func:`cerny_word`,
-    which resets the total DFA from any set.  ``None`` when n < 3.
+    more tail block, composed once into a one-letter automaton.  At r = n-2
+    the word is the head then :func:`cerny_word`, which resets the total DFA
+    from any set.  ``None`` when n < 3.
     """
     if n < 3:
         return None
-    tables = compile_letters(gen_cerny(n))
+    cerny = gen_cerny(n)
     word = cerny_alt_word(n, 1)
     s = (1 << n) - 1
     for a in word[:-n - 1]:  # the head
-        s = image(tables, a, s)
+        s = image(cerny, a, s)
+    block = list(range(n))
+    for a in word[-n - 1:-1]:  # the tail block c1 c2^(n-1), per state
+        block = [cerny.delta[q][a] for q in block]
+    tail = Pfa(("tail",), [(q,) for q in block])
     for r in range(n - 2):
-        if image(tables, 0, s).bit_count() == 1:  # the final c1; the table is total
+        if image(cerny, 0, s).bit_count() == 1:  # the final c1; the table is total
             return r
-        for a in word[-n - 1:-1]:  # one more tail block
-            s = image(tables, a, s)
+        s = image(tail, 0, s)
     return n - 2
 
 

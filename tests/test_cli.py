@@ -6,7 +6,7 @@ import pytest
 from carefulsync import cli, words
 from carefulsync.cli import _build_parser, main
 from carefulsync.core import Pfa
-from carefulsync.families import gen_grid, gen_witness
+from carefulsync.families import FamilySpec, gen_grid, gen_witness
 from carefulsync.io import automaton_to_json
 
 
@@ -303,6 +303,18 @@ def test_words_over_the_word_budget(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "274876858369 letters, over the budget of 1000000" in captured.err
+
+
+def test_words_refuses_an_over_budget_word_before_building_the_automaton(monkeypatch, capsys):
+    def _fail(spec):
+        raise AssertionError("built the automaton")
+
+    monkeypatch.setattr(FamilySpec, "build", _fail)
+    assert main(["words", "--family", "cerny:n=524288"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the classic reset word for n=524288 has 274876858369 "
+                            "letters, over the budget of 1000000\n")
 
 
 def test_words_cerny_prints_nothing_when_one_word_is_over_the_budget(monkeypatch, capsys):

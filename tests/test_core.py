@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from operator import or_
 
 import pytest
@@ -7,19 +8,27 @@ import pytest
 from carefulsync import (
     Pfa,
     bits_from_states,
+    cerny_word,
     format_state_set,
+    gen_cerny,
     gen_grid,
     gen_random,
     gen_witness,
     is_careful_sync_word,
+    lift_word,
+    min_alt_reps,
     reachable_subset_count,
     run_word,
+    search,
     shortest_careful_word,
     states_from_bits,
     total_merging_letter,
+    transform,
     validate,
 )
-from carefulsync.core import compile_letters, image
+from carefulsync.cli import main
+from carefulsync.core import image
+from carefulsync.search import compile_letters
 
 WITNESS_DELTA = (
     (1, None, 1),
@@ -152,6 +161,63 @@ def test_run_word_rejects_out_of_range_letters():
             run_word(pfa, pfa.full_set(), (0, letter))
 
 
+def test_run_word_reads_only_the_rows_it_meets():
+    # an unvalidated table: row 2 has targets outside the states and row 3
+    # has no entry for b, so it cannot be compiled as a whole
+    pfa = Pfa(("a", "b"), ((1, 2), (1, None), (7, -1), (0,)))
+    with pytest.raises((IndexError, ValueError)):
+        compile_letters(pfa)
+    # walks that never read rows 2 and 3 run
+    assert run_word(pfa, 0b0011, (0, 0)).final == 0b0010
+    assert run_word(pfa, 0b0011, (1,)).undefined_at == 0
+    assert run_word(pfa, 0b1000, (0,)).final == 0b0001
+    # a bad entry the walk reads raises, at the start or on the way
+    for s, word in ((0b0100, (0,)), (0b0100, (1,)), (0b0001, (1, 0)), (0b1000, (0, 1, 1))):
+        with pytest.raises(ValueError, match="delta row 2 has a target outside 4 states"):
+            run_word(pfa, s, word)
+    for s, word in ((0b1000, (1,)), (0b1001, (1,))):
+        with pytest.raises(IndexError):
+            run_word(pfa, s, word)
+    with pytest.raises(ValueError):
+        is_careful_sync_word(pfa, (0,))
+
+
+def test_run_word_on_a_wide_table_stays_small():
+    # 1024 states and 1024 letters: compiling every letter's chunk tables
+    # takes about 3.2 GiB of RSS, while a walk reads only the rows it meets
+    pfa = gen_random(1024, 1024, 0.9, 1)
+    column = [row[0] for row in pfa.delta]
+    domain = bits_from_states(q for q, t in enumerate(column) if t is not None)
+    tracemalloc.start()
+    try:
+        full = run_word(pfa, pfa.full_set(), (0,))
+        part = run_word(pfa, domain, (0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 << 20
+    assert full.final is None and full.undefined_at == 0
+    assert part.final == bits_from_states(t for t in column if t is not None)
+
+
+def test_walks_compile_no_chunk_tables(monkeypatch, capsys):
+    def _fail(pfa):
+        raise AssertionError("compiled the chunk tables")
+
+    monkeypatch.setattr(search, "compile_letters", _fail)
+    witness = gen_witness()
+    with pytest.raises(AssertionError):  # the search still compiles
+        search.shortest_careful_word(witness)
+    word = tuple("abc".index(ch) for ch in "a b c a b a b b c a".split())
+    assert run_word(witness, witness.full_set(), word).final == 1 << 1
+    assert is_careful_sync_word(witness, word) == (True, 1)
+    lifted = lift_word(2, gen_cerny(4), cerny_word(4))
+    assert is_careful_sync_word(transform(2, gen_cerny(4)), lifted)[0]
+    assert min_alt_reps(9) == 6
+    assert main(["verify", "witness", "--word", "a b c a b a b b c a"]) == 0
+    assert capsys.readouterr().out == "verified: synchronizes to state 1\n"
+
+
 def test_careful_word_length_ten():
     pfa = gen_witness()
     word = tuple("abc".index(ch) for ch in "a b c a b a b b c a".split())
@@ -210,8 +276,8 @@ def test_domains_match_image_for_every_letter():
         n, tables = pfa.n, compile_letters(pfa)
         domains = [dom for _, dom in tables]
         assert [len(dom) for dom in domains] == [len(rows) for rows, _ in tables]
-        # image reads the -1 mark and the kernel reads the domain bit, so
-        # they agree on every row of every chunk
+        # the -1 mark of a chunk row and its domain bit agree on every row
+        # of every chunk
         for rows, dom in tables:
             for row, mask in zip(rows, dom):
                 assert [t == -1 for t in row] == [not mask >> a & 1 for a in range(len(row))]
@@ -225,7 +291,7 @@ def test_domains_match_image_for_every_letter():
                 mask &= dom[s >> 8 * j & 255]
             assert 0 <= mask < 1 << len(pfa.letters)
             for a in range(len(pfa.letters)):
-                expect = image(tables, a, s) is not None
+                expect = image(pfa, a, s) is not None  # the definition, from delta
                 assert bool(mask >> a & 1) == expect
                 undefined += not expect
                 defined += expect

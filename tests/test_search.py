@@ -34,7 +34,8 @@ from carefulsync import (
     total_merging_letter,
     transform,
 )
-from carefulsync.core import compile_letters, image
+from carefulsync.core import image
+from carefulsync.search import compile_letters
 
 
 def test_witness_shortest_is_ten():
@@ -352,12 +353,11 @@ def _forced_path_reference(pfa, word):
     from the full set first, then classify every letter's image at each
     position the run reached.  A step from a singleton is never forced."""
     run = run_word(pfa, pfa.full_set(), word)
-    tables = compile_letters(pfa)
     width = range(len(pfa.letters))
     seen = set()
     for pos, (s, letter) in enumerate(zip(run.trace, word)):
         seen.add(s)
-        images = [image(tables, a, s) for a in width]
+        images = [image(pfa, a, s) for a in width]
         new = [a for a, t in enumerate(images) if t is not None and t not in seen]
         if new != [letter] or s.bit_count() == 1:
             return run.final, ForcedStep(pos, s, tuple(new),
@@ -403,17 +403,16 @@ def test_forced_path_matches_the_two_pass_definition():
         else:
             pfa = gen_random(rng.randint(33, 40), rng.randint(8, 29), rng.choice((0.9, 0.97, 1.0)), seed)
             pfa = with_copy(pfa, rng.randrange(len(pfa.letters)))
-        tables = compile_letters(pfa)
         for _ in range(4):
             # a random walk that mostly takes defined letters
             cur, word = pfa.full_set(), []
             for _ in range(rng.randint(0, 25)):
-                defined = [a for a in range(len(pfa.letters)) if image(tables, a, cur) is not None]
+                defined = [a for a in range(len(pfa.letters)) if image(pfa, a, cur) is not None]
                 if not defined or rng.random() < 0.03:
                     word.append(rng.randrange(-1, len(pfa.letters) + 1))
                     break
                 word.append(rng.choice(defined))
-                cur = image(tables, word[-1], cur)
+                cur = image(pfa, word[-1], cur)
             cases.append((pfa, tuple(word)))
     outcomes = set()
     for pfa, word in cases:
@@ -430,8 +429,7 @@ def test_forced_path_matches_the_two_pass_definition():
                 outcomes.add("wide")
             if step.subset.bit_count() == 1:
                 outcomes.add("singleton")
-            tables = compile_letters(pfa)
-            new = [image(tables, a, step.subset) for a in step.new_letters]
+            new = [image(pfa, a, step.subset) for a in step.new_letters]
             if len(set(new)) < len(new):
                 outcomes.add("two letters, one new subset")
     assert outcomes == {type(None), ForcedStep, "letter", "defined", "undefined", "wide",
@@ -553,15 +551,14 @@ def test_kernel_and_run_word_match_naive_images_across_chunks():
     cases += [(64, 0), (64, 6), (64, 8), (65, 0), (65, 6), (72, 2), (72, 5)]
     for n, seed in cases:
         pfa = _with_boundary_holes(gen_random(n, 3 if n < 10 else 2, 1.0, seed))
-        tables = compile_letters(pfa)
-        assert len(tables) == max(4, (n + 7) // 8)  # n > 32: chunks beyond the unrolled four
+        assert len(compile_letters(pfa)) == max(4, (n + 7) // 8)  # n > 32: chunks beyond the unrolled four
         levels, word = _naive_bfs(pfa)
         assert reachable_subset_count(pfa) == len(levels)
         for s in levels:
             for a in range(len(pfa.letters)):
                 targets = [pfa.delta[q][a] for q in s]
                 expect = None if None in targets else bits_from_states(targets)
-                assert image(tables, a, bits_from_states(s)) == expect
+                assert image(pfa, a, bits_from_states(s)) == expect
         found = shortest_careful_word(pfa)
         assert (found and found.word) == word
         if word is not None:

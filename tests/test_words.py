@@ -159,6 +159,17 @@ def test_min_alt_reps_matches_the_per_r_definition():
         assert expected <= n - 2, n
 
 
+def test_min_alt_reps_closed_form():
+    for n in range(4, 80):
+        assert min_alt_reps(n) == (n - 2 if n % 2 == 0 else n - 3), n
+
+
+def test_min_alt_reps_at_the_largest_cyclic_spec():
+    # cerny:n=1000 is the largest cyclic spec whose classic word fits the
+    # word budget
+    assert min_alt_reps(1000) == 998
+
+
 def test_digit_subset_base3_example():
     # value 10 over four base-3 classes: digits 1,0,1,0 from class 1 up
     mask = digit_subset(3, [1, 2, 3, 4], 10)
