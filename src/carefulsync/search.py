@@ -59,38 +59,55 @@ class SearchResult:
         return len(self.word)
 
 
-def compile_letters(pfa: Pfa) -> list[tuple[list[tuple[int, ...]], list[int]]]:
-    """Every letter's transitions as 8-bit chunk lookup tables.
+def _chunk_bits(n: int) -> int:
+    """States per chunk of the letter tables: ``n`` / 4 rounded up, at most 8."""
+    return min(8, max(1, -(-n // 4)))
 
-    ``compile_letters(pfa)[j]`` is a pair ``(rows, domains)`` for the states
-    ``8j + i`` whose bit ``i`` is set in a row index ``c``.  ``rows[c][a]``
-    is their image under letter ``a``, or -1 (every bit set, so it survives
-    the OR of chunk images) when ``a`` is undefined on one of them; the mark
-    is one shared small int, so undefined entries cost no memory.  Bit ``a``
-    of ``domains[c]`` is set when ``a`` is defined on all of them, so the
-    AND of a subset's chunk domains is the set of letters defined on it:
-    the BFS kernel and the forced-path certificate in ``search`` compute
-    images only for those letters.  There are at least four chunks, so a
-    kernel can unroll states 0..31.  A ragged table raises IndexError and a
-    target outside the states ValueError; nothing is truncated.
+
+def compile_letters(pfa: Pfa) -> list[tuple[list[tuple[int, ...]], list[int]]]:
+    """Every letter's transitions as chunk lookup tables.
+
+    A chunk holds ``b = _chunk_bits(n)`` states: up to 32 states there are
+    four equal chunks, beyond that 8-state ones.  ``compile_letters(pfa)[j]``
+    is a pair ``(rows, domains)`` for the states ``b*j + i`` whose bit ``i``
+    is set in a row index ``c``.  ``rows[c][a]`` is their image under letter
+    ``a``, or -1 (every bit set, so it survives the OR of chunk images) when
+    ``a`` is undefined on one of them; the mark is one shared small int, so
+    undefined entries cost no memory.  Bit ``a`` of ``domains[c]`` is set
+    when ``a`` is defined on all of them, so the AND of a subset's chunk
+    domains is the set of letters defined on it: the BFS kernel and the
+    forced-path certificate in ``search`` compute images only for those
+    letters.  There are at least four chunks, so a kernel can unroll four.
+    A ragged table raises IndexError, before any target of the short row is
+    checked, and a target outside the states ValueError; nothing is
+    truncated.
     """
     n = pfa.n
-    width = range(len(pfa.letters))
+    b = _chunk_bits(n)
+    width = len(pfa.letters)
+    everywhere = (1 << width) - 1
     chunks = []
-    for lo in range(0, max(n, 32), 8):
-        states = range(lo, min(lo + 8, n))
+    for lo in range(0, max(n, 4 * b), b):
+        states = range(lo, min(lo + b, n))
         # One column of images per letter and the domain rows, doubled once
-        # per state; the columns are then transposed into rows, and without
-        # letters every row is ().
-        cols = [[0] for _ in width]
-        domains = [(1 << len(width)) - 1]
+        # per state (a column's map stops with its repeat, so it reads only
+        # the old entries); the columns are then transposed into rows, and
+        # without letters every row is ().
+        cols = [[0] for _ in range(width)]
+        domains = [everywhere]
         for q in states:
-            row = [pfa.delta[q][a] for a in width]
-            if any(t is not None and not 0 <= t < n for t in row):
+            row, defined, outside = pfa.delta[q], everywhere, False
+            for a, col in enumerate(cols):
+                t = row[a]
+                if t is None:
+                    col += repeat(-1, len(col))
+                    defined ^= 1 << a
+                elif 0 <= t < n:
+                    col += map(or_, col, repeat(1 << t, len(col)))
+                else:
+                    outside = True
+            if outside:
                 raise ValueError(f"delta row {q} has a target outside {n} states")
-            for col, t in zip(cols, row):
-                col += list(map(or_, col, repeat(-1 if t is None else 1 << t)))
-            defined = sum(1 << a for a, t in enumerate(row) if t is not None)
             domains += [dom & defined for dom in domains]
         chunks.append((list(zip(*cols)) or [()] * (1 << len(states)), domains))
     return chunks
@@ -154,8 +171,12 @@ def _bfs(
         raise CapExceeded(1)
     if start in goals:
         return (), start, 1
+    if not pfa.letters:  # only the start is reachable
+        return None, None, 1
     (t0, d0), (t1, d1), (t2, d2), (t3, d3), *wide = compile_letters(pfa)
-    wide = [(tab, dom, 8 * j) for j, (tab, dom) in enumerate(wide, 4)]
+    b = _chunk_bits(n)
+    b2, b3, m = 2 * b, 3 * b, (1 << b) - 1
+    wide = [(tab, dom, b * j) for j, (tab, dom) in enumerate(wide, 4)]
     letters = _LetterLists(len(pfa.letters))
     # The visited table reads 1 for a discovered subset, 2 for a goal not
     # yet discovered and 0 otherwise, so a probe is one lookup.  Only the
@@ -174,7 +195,7 @@ def _bfs(
     # while every link fits, else 8.  ``base`` is the index of the subset
     # being expanded times ``width``, kept by one add per subset.  Without
     # goals no word is rebuilt, so each level's links are dropped.
-    width = max(len(pfa.letters), 1)
+    width = len(pfa.letters)
     parent = array("I" if max_subsets * width <= 1 << 32 else "Q", [0])
     push_parent = parent.append
     level, base = [start], 0
@@ -183,11 +204,11 @@ def _bfs(
         for s in level:
             # The AND of the chunks' domain rows lists the letters defined
             # on ``s``; only their images are ORed, from the chunk rows.
-            c0, c1, c2, c3 = s & 255, s >> 8 & 255, s >> 16 & 255, s >> 24 & 255
+            c0, c1, c2, c3 = s & m, s >> b & m, s >> b2 & m, s >> b3 & m
             defined = d0[c0] & d1[c1] & d2[c2] & d3[c3]
             r0, r1, r2, r3 = t0[c0], t1[c1], t2[c2], t3[c3]
             for tab, dom, shift in wide:  # states 32 and up; empty when n <= 32
-                c = s >> shift & 255
+                c = s >> shift & m
                 defined &= dom[c]
                 r3 = tuple(map(or_, r3, tab[c]))
             for a in letters[defined]:
@@ -228,7 +249,9 @@ def shortest_careful_word(
     Raises :class:`CapExceeded` once more than ``max_subsets`` subsets have
     been discovered, the full set included.
     """
-    word, final, visited = _bfs(pfa, pfa.full_set(), {1 << q for q in range(pfa.n)}, max_subsets)
+    # without letters only the full set is reachable, a goal only when n = 1
+    goals = {1 << q for q in range(pfa.n)} if pfa.letters else {1}
+    word, final, visited = _bfs(pfa, pfa.full_set(), goals, max_subsets)
     if word is None:
         return None
     return SearchResult(word, visited, final.bit_length() - 1)
@@ -337,7 +360,9 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
     if not pfa.n:
         raise ValueError("the automaton has no states")
     (t0, d0), (t1, d1), (t2, d2), (t3, d3), *wide = compile_letters(pfa)
-    wide = [(tab, dom, 8 * j) for j, (tab, dom) in enumerate(wide, 4)]
+    b = _chunk_bits(pfa.n)
+    b2, b3, m = 2 * b, 3 * b, (1 << b) - 1
+    wide = [(tab, dom, b * j) for j, (tab, dom) in enumerate(wide, 4)]
     letters = _LetterLists(len(pfa.letters))
     width = range(len(pfa.letters))
     # Subsets on the path so far.  Past the first unforced step the walk
@@ -348,14 +373,14 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
         if letter not in width:
             raise ValueError(f"letter index {letter} out of range")
         # The letters defined on ``cur`` and its chunk rows, unrolled over
-        # states 0..31 as in the kernel; a wide chunk row is kept only when
-        # ``cur`` has a state in it.
-        c0, c1, c2, c3 = cur & 255, cur >> 8 & 255, cur >> 16 & 255, cur >> 24 & 255
+        # the first four chunks as in the kernel; a wide chunk row is kept only
+        # when ``cur`` has a state in it.
+        c0, c1, c2, c3 = cur & m, cur >> b & m, cur >> b2 & m, cur >> b3 & m
         defined = d0[c0] & d1[c1] & d2[c2] & d3[c3]
         r0, r1, r2, r3 = t0[c0], t1[c1], t2[c2], t3[c3]
         rows = []
         for tab, dom, shift in wide:  # states 32 and up; empty when n <= 32
-            c = cur >> shift & 255
+            c = cur >> shift & m
             if c:
                 defined &= dom[c]
                 rows.append(tab[c])

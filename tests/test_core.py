@@ -264,8 +264,9 @@ def test_run_word_is_pure():
 
 
 def test_domains_match_image_for_every_letter():
-    # n = 8, 9, 32, 33, 40 put members on both sides of chunk boundaries,
-    # and n = 33, 40 need the chunks beyond the first four; the letterless
+    # every n puts members on both sides of chunk boundaries: up to 32
+    # states the four chunks hold 1, 2, 3 or 8 states here, and n = 33, 40
+    # need the 8-state chunks beyond the first four; the letterless
     # automata have an empty domain everywhere.
     rng = random.Random(6)
     pfas = [gen_random(n, 1 + seed * 9, 0.97, seed)
@@ -274,6 +275,7 @@ def test_domains_match_image_for_every_letter():
     undefined = defined = 0
     for pfa in pfas:
         n, tables = pfa.n, compile_letters(pfa)
+        b = search._chunk_bits(n)
         domains = [dom for _, dom in tables]
         assert [len(dom) for dom in domains] == [len(rows) for rows, _ in tables]
         # the -1 mark of a chunk row and its domain bit agree on every row
@@ -288,7 +290,7 @@ def test_domains_match_image_for_every_letter():
         for s in subsets:
             mask = -1
             for j, dom in enumerate(domains):
-                mask &= dom[s >> 8 * j & 255]
+                mask &= dom[s >> b * j & (1 << b) - 1]
             assert 0 <= mask < 1 << len(pfa.letters)
             for a in range(len(pfa.letters)):
                 expect = image(pfa, a, s) is not None  # the definition, from delta
@@ -299,13 +301,15 @@ def test_domains_match_image_for_every_letter():
 
 
 def _compile_letters_by_rows(pfa):
-    """Reference letter tables, built a whole row at a time by doubling."""
+    """Reference letter tables, built a whole row at a time by doubling:
+    four equal chunks up to 32 states, 8-state chunks beyond."""
     n = pfa.n
+    b = 8 if n > 32 else max(1, (n + 3) // 4)
     width = range(len(pfa.letters))
     tables = []
-    for lo in range(0, max(n, 32), 8):
+    for lo in range(0, max(n, 4 * b), b):
         tab = [(0,) * len(width)]
-        for q in range(lo, min(lo + 8, n)):
+        for q in range(lo, min(lo + b, n)):
             row = [pfa.delta[q][a] for a in width]
             if any(t is not None and not 0 <= t < n for t in row):
                 raise ValueError(f"delta row {q} has a target outside {n} states")
@@ -348,10 +352,29 @@ def test_letter_tables_match_the_row_doubling_reference():
     assert errors == {IndexError, ValueError}
 
 
+def test_letter_tables_are_sized_to_the_automaton():
+    # up to 32 states exactly four chunks of at most ceil(n/4) states, and
+    # 8-state chunks beyond; a chunk of m states has 2^m rows and 2^m
+    # domain rows
+    total = {}
+    for n in range(1, 41):
+        tables = compile_letters(gen_random(n, 2, 0.9, n))
+        sizes = [len(rows) for rows, _ in tables]
+        assert [len(dom) for _, dom in tables] == sizes
+        states = [size.bit_length() - 1 for size in sizes]
+        assert sizes == [1 << m for m in states] and sum(states) == n
+        if n <= 32:
+            assert len(states) == 4 and max(states) <= (n + 3) // 4
+        else:
+            assert states == [8] * (n // 8) + [n % 8] * (n % 8 > 0)
+        total[n] = sum(sizes)
+    assert (total[20], total[24], total[28], total[32]) == (128, 256, 512, 1024)
+
+
 def test_letterless_pfa():
     pfa = Pfa((), ((), ()))
     tables = [rows for rows, _ in compile_letters(pfa)]
     assert tables == _compile_letters_by_rows(pfa)
-    assert tables[0] == [()] * 4
+    assert tables[0] == [()] * 2  # one state per chunk
     assert shortest_careful_word(pfa) is None
     assert reachable_subset_count(pfa) == 1

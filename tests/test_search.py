@@ -448,6 +448,29 @@ def test_not_sync_iff_no_singleton_reachable():
     assert reachable_subset_count(pfa) == 1  # {0,1} only maps to itself
 
 
+def test_letterless_search_does_no_work_per_state():
+    # Without letters only the full set is reachable.  A 2^20-state table
+    # passes the table bound, and a goal per singleton would hold about
+    # n^2 / 2 bits.
+    pfa = Pfa((), ((),) * (1 << 20))
+    tracemalloc.start()
+    try:
+        found = shortest_careful_word(pfa)
+        count = reachable_subset_count(pfa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is None and count == 1
+    assert peak < 4 << 20
+    one = Pfa((), ((),))
+    assert shortest_careful_word(one) == search.SearchResult((), 1, 0)
+    for p in (pfa, one):
+        with pytest.raises(ValueError):
+            shortest_careful_word(p, max_subsets=-1)
+        with pytest.raises(CapExceeded):
+            reachable_subset_count(p, max_subsets=0)
+
+
 def _naive_bfs(pfa):
     """BFS level of every subset reachable from the full set, by set arithmetic.
 
@@ -534,20 +557,24 @@ def test_failed_search_visits_every_reachable_subset(monkeypatch):
 
 def _with_boundary_holes(pfa):
     """``pfa`` with letter 0 kept total and the other letters undefined on
-    states 7, 8, 31, 32, 63, 64 and the top state, on both sides of 8-bit
-    chunk boundaries."""
+    both sides of every chunk start of the letter tables, and on the top
+    state."""
+    b = search._chunk_bits(pfa.n)
+    holes = {q for lo in range(b, pfa.n, b) for q in (lo - 1, lo)} | {pfa.n - 1}
     delta = [list(row) for row in pfa.delta]
-    for i, q in enumerate(sorted({7, 8, 31, 32, 63, 64, pfa.n - 1} & set(range(pfa.n)))):
+    for i, q in enumerate(sorted(holes)):
         delta[q][1 + i % (len(pfa.letters) - 1)] = None
     return Pfa(pfa.letters, delta)
 
 
 def test_kernel_and_run_word_match_naive_images_across_chunks():
-    # 64 states fill the 64 bits of a packed subset; 65 and 72 do not fit.
-    # Their seeds pick searches of at most 25,000 subsets, some not
-    # synchronizing.
+    # Up to 32 states the chunks hold 1 (n = 4) to 8 (n = 31, 32) states;
+    # above, 8 each.  64 states fill the 64 bits of a packed subset; 65 and
+    # 72 do not fit.  Their seeds pick searches of at most 25,000 subsets,
+    # some not synchronizing.
     synchronizing = set()
-    cases = list(itertools.product((7, 8, 9, 31, 32, 33, 40), range(10)))
+    sizes = (4, 7, 8, 9, 13, 18, 21, 27, 31, 32, 33, 40)
+    cases = list(itertools.product(sizes, range(20)))
     cases += [(64, 0), (64, 6), (64, 8), (65, 0), (65, 6), (72, 2), (72, 5)]
     for n, seed in cases:
         pfa = _with_boundary_holes(gen_random(n, 3 if n < 10 else 2, 1.0, seed))
@@ -570,7 +597,7 @@ def test_kernel_and_run_word_match_naive_images_across_chunks():
             assert [levels[frozenset(states_from_bits(t))] for t in trace] == list(
                 range(len(word) + 1)
             )
-    assert synchronizing == {7, 8, 9, 31, 32, 33, 40, 64, 65, 72}
+    assert synchronizing == {*sizes, 64, 65, 72}
 
 
 def _first_letter_total(pfa, seed):
