@@ -29,7 +29,7 @@ class ValidationError(ValueError):
         self.diagnostics = diagnostics
 
 
-def automaton_to_document(pfa: Pfa, family: str | None = None) -> dict:
+def automaton_to_json(pfa: Pfa, family: str | None = None) -> str:
     doc = {
         "format_version": FORMAT_VERSION,
         "letters": list(pfa.letters),
@@ -40,11 +40,7 @@ def automaton_to_document(pfa: Pfa, family: str | None = None) -> dict:
         doc["state_names"] = list(pfa.state_names)
     if family is not None:
         doc["metadata"] = family
-    return doc
-
-
-def automaton_to_json(pfa: Pfa, family: str | None = None) -> str:
-    return json.dumps(automaton_to_document(pfa, family), indent=2) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def load_document(text: str) -> tuple[Pfa, str | None]:

@@ -41,6 +41,7 @@ from .words import (
     grid_word_claimed_length,
     grid_word_length,
     min_alt_reps,
+    parse_word,
 )
 
 CSV_FORMAT_COMMENT = "# carefulsync sweep csv v1"
@@ -263,7 +264,7 @@ def check_battery(
 def _witness_section(lines: list[str]) -> None:
     pfa = gen_witness()
     claimed = "a b c a a a b b c a"
-    word = tuple("abc".index(ch) for ch in claimed.split())
+    word = parse_word(pfa.letters, claimed)
     res = run_word(pfa, pfa.full_set(), word)
     lines.append("[1] 4-state witness: published shortest careful word")
     lines.append(f'    published word "{claimed}", claimed length 10')

@@ -59,43 +59,41 @@ class SearchResult:
         return len(self.word)
 
 
-def _chunk_bits(n: int) -> int:
-    """States per chunk of the letter tables: ``n`` / 4 rounded up, at most 8."""
-    return min(8, max(1, -(-n // 4)))
+def compile_letters(
+    pfa: Pfa,
+) -> tuple[int, list[list[tuple[int, ...]]], list[tuple[list[tuple[int, ...]], int]]]:
+    """Every letter's transitions as chunk lookup tables: ``(b, unrolled, wide)``.
 
-
-def compile_letters(pfa: Pfa) -> list[tuple[list[tuple[int, ...]], list[int]]]:
-    """Every letter's transitions as chunk lookup tables.
-
-    A chunk holds ``b = _chunk_bits(n)`` states: up to 32 states there are
-    four equal chunks, beyond that 8-state ones.  ``compile_letters(pfa)[j]``
-    is a pair ``(rows, domains)`` for the states ``b*j + i`` whose bit ``i``
-    is set in a row index ``c``.  ``rows[c][a]`` is their image under letter
-    ``a``, or -1 (every bit set, so it survives the OR of chunk images) when
-    ``a`` is undefined on one of them; the mark is one shared small int, so
-    undefined entries cost no memory.  Bit ``a`` of ``domains[c]`` is set
-    when ``a`` is defined on all of them, so the AND of a subset's chunk
-    domains is the set of letters defined on it: the BFS kernel and the
-    forced-path certificate in ``search`` compute images only for those
-    letters.  There are at least four chunks, so a kernel can unroll four.
-    A ragged table raises IndexError, before any target of the short row is
-    checked, and a target outside the states ValueError; nothing is
-    truncated.
+    A chunk holds ``b`` states, ``n`` / 4 rounded up and at most 8: up to
+    32 states there are four equal chunks, beyond that 8-state ones.
+    Chunk ``j`` holds the states from ``b*j`` on: ``unrolled`` is chunks 0
+    to 3, so a kernel can unroll four, and ``wide`` the rest as
+    ``(chunk, b*j)`` pairs.  Row ``c`` of chunk ``j`` is a record for the
+    states ``b*j + i`` whose bit ``i`` is set in ``c``: entry ``a`` is
+    their image under letter ``a``, or -1 (every bit set, so it survives
+    the OR of chunk images) when ``a`` is undefined on one of them; the
+    mark is one shared small int, so undefined entries cost no memory.  The
+    last entry, ``k`` for ``k`` letters, is the row's domain mask, whose
+    bit ``a`` is set when ``a`` is defined on all of them, so the AND of a
+    subset's row masks is the set of letters defined on it: the BFS kernel
+    and the forced-path certificate in ``search`` compute images only for
+    those letters.  A ragged table raises IndexError, before any target of
+    the short row is checked, and a target outside the states ValueError;
+    nothing is truncated.
     """
     n = pfa.n
-    b = _chunk_bits(n)
+    b = min(8, max(1, -(-n // 4)))
     width = len(pfa.letters)
     everywhere = (1 << width) - 1
     chunks = []
     for lo in range(0, max(n, 4 * b), b):
-        states = range(lo, min(lo + b, n))
-        # One column of images per letter and the domain rows, doubled once
+        # One column of images per letter and the domain masks, doubled once
         # per state (a column's map stops with its repeat, so it reads only
-        # the old entries); the columns are then transposed into rows, and
-        # without letters every row is ().
+        # the old entries); the columns and the masks are then zipped into
+        # row records.
         cols = [[0] for _ in range(width)]
         domains = [everywhere]
-        for q in states:
+        for q in range(lo, min(lo + b, n)):
             row, defined, outside = pfa.delta[q], everywhere, False
             for a, col in enumerate(cols):
                 t = row[a]
@@ -109,8 +107,8 @@ def compile_letters(pfa: Pfa) -> list[tuple[list[tuple[int, ...]], list[int]]]:
             if outside:
                 raise ValueError(f"delta row {q} has a target outside {n} states")
             domains += [dom & defined for dom in domains]
-        chunks.append((list(zip(*cols)) or [()] * (1 << len(states)), domains))
-    return chunks
+        chunks.append(list(zip(*cols, domains)))
+    return b, chunks[:4], [(chunk, b * j) for j, chunk in enumerate(chunks[4:], 4)]
 
 
 class _LetterLists(dict):
@@ -173,11 +171,10 @@ def _bfs(
         return (), start, 1
     if not pfa.letters:  # only the start is reachable
         return None, None, 1
-    (t0, d0), (t1, d1), (t2, d2), (t3, d3), *wide = compile_letters(pfa)
-    b = _chunk_bits(n)
+    b, (t0, t1, t2, t3), wide = compile_letters(pfa)
     b2, b3, m = 2 * b, 3 * b, (1 << b) - 1
-    wide = [(tab, dom, b * j) for j, (tab, dom) in enumerate(wide, 4)]
-    letters = _LetterLists(len(pfa.letters))
+    width = len(pfa.letters)
+    letters = _LetterLists(width)
     # The visited table reads 1 for a discovered subset, 2 for a goal not
     # yet discovered and 0 otherwise, so a probe is one lookup.  Only the
     # letters defined on a subset are probed, so every probe is a nonempty
@@ -195,22 +192,24 @@ def _bfs(
     # while every link fits, else 8.  ``base`` is the index of the subset
     # being expanded times ``width``, kept by one add per subset.  Without
     # goals no word is rebuilt, so each level's links are dropped.
-    width = len(pfa.letters)
     parent = array("I" if max_subsets * width <= 1 << 32 else "Q", [0])
     push_parent = parent.append
     level, base = [start], 0
     while level:
         nxt = []
         for s in level:
-            # The AND of the chunks' domain rows lists the letters defined
-            # on ``s``; only their images are ORed, from the chunk rows.
-            c0, c1, c2, c3 = s & m, s >> b & m, s >> b2 & m, s >> b3 & m
-            defined = d0[c0] & d1[c1] & d2[c2] & d3[c3]
-            r0, r1, r2, r3 = t0[c0], t1[c1], t2[c2], t3[c3]
-            for tab, dom, shift in wide:  # states 32 and up; empty when n <= 32
-                c = s >> shift & m
-                defined &= dom[c]
-                r3 = tuple(map(or_, r3, tab[c]))
+            # The AND of the chunk rows' domain masks lists the letters
+            # defined on ``s``; only their images are ORed, from the rows.
+            # A row's mask is its last entry, read as entry ``width``:
+            # CPython specialises only nonnegative tuple subscripts.
+            r0, r1, r2, r3 = t0[s & m], t1[s >> b & m], t2[s >> b2 & m], t3[s >> b3 & m]
+            defined = r0[width] & r1[width] & r2[width] & r3[width]
+            for tab, shift in wide:  # states 32 and up; empty when n <= 32
+                row = tab[s >> shift & m]
+                defined &= row[width]
+                # this ORs the domain masks too, a slot no probe reads: the
+                # letters probed are all below the alphabet size
+                r3 = tuple(map(or_, r3, row))
             for a in letters[defined]:
                 t = r0[a] | r1[a] | r2[a] | r3[a]
                 v = seen[t]
@@ -359,12 +358,11 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
     """
     if not pfa.n:
         raise ValueError("the automaton has no states")
-    (t0, d0), (t1, d1), (t2, d2), (t3, d3), *wide = compile_letters(pfa)
-    b = _chunk_bits(pfa.n)
+    b, (t0, t1, t2, t3), wide = compile_letters(pfa)
     b2, b3, m = 2 * b, 3 * b, (1 << b) - 1
-    wide = [(tab, dom, b * j) for j, (tab, dom) in enumerate(wide, 4)]
-    letters = _LetterLists(len(pfa.letters))
-    width = range(len(pfa.letters))
+    last = len(pfa.letters)  # the index of a row's domain mask, as in the kernel
+    letters = _LetterLists(last)
+    width = range(last)
     # Subsets on the path so far.  Past the first unforced step the walk
     # only applies the word.
     seen = set()
@@ -375,15 +373,15 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
         # The letters defined on ``cur`` and its chunk rows, unrolled over
         # the first four chunks as in the kernel; a wide chunk row is kept only
         # when ``cur`` has a state in it.
-        c0, c1, c2, c3 = cur & m, cur >> b & m, cur >> b2 & m, cur >> b3 & m
-        defined = d0[c0] & d1[c1] & d2[c2] & d3[c3]
-        r0, r1, r2, r3 = t0[c0], t1[c1], t2[c2], t3[c3]
+        r0, r1, r2, r3 = t0[cur & m], t1[cur >> b & m], t2[cur >> b2 & m], t3[cur >> b3 & m]
+        defined = r0[last] & r1[last] & r2[last] & r3[last]
         rows = []
-        for tab, dom, shift in wide:  # states 32 and up; empty when n <= 32
+        for tab, shift in wide:  # states 32 and up; empty when n <= 32
             c = cur >> shift & m
             if c:
-                defined &= dom[c]
-                rows.append(tab[c])
+                row = tab[c]
+                defined &= row[last]
+                rows.append(row)
         nxt = None
         if forced:
             seen.add(cur)

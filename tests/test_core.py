@@ -274,23 +274,24 @@ def test_domains_match_image_for_every_letter():
     pfas += [Pfa((), ((),) * n) for n in (1, 9, 33)]
     undefined = defined = 0
     for pfa in pfas:
-        n, tables = pfa.n, compile_letters(pfa)
-        b = search._chunk_bits(n)
-        domains = [dom for _, dom in tables]
-        assert [len(dom) for dom in domains] == [len(rows) for rows, _ in tables]
-        # the -1 mark of a chunk row and its domain bit agree on every row
-        # of every chunk
-        for rows, dom in tables:
-            for row, mask in zip(rows, dom):
-                assert [t == -1 for t in row] == [not mask >> a & 1 for a in range(len(row))]
+        n = pfa.n
+        b, unrolled, wide = compile_letters(pfa)
+        chunks = unrolled + [chunk for chunk, _ in wide]
+        assert [shift for _, shift in wide] == [b * j for j in range(4, len(chunks))]
+        # the -1 mark of a chunk row and the bit of its domain mask, the
+        # row's last entry, agree on every row of every chunk
+        for chunk in chunks:
+            for *images, mask in chunk:
+                assert len(images) == len(pfa.letters)
+                assert [t == -1 for t in images] == [not mask >> a & 1 for a in range(len(images))]
         subsets = {pfa.full_set(), 1 << (n - 1)}
         subsets |= {rng.getrandbits(n) or 1 for _ in range(50)}
         subsets |= {sum(1 << q for q in rng.sample(range(n), rng.randint(1, min(n, 4))))
                     for _ in range(50)}
         for s in subsets:
             mask = -1
-            for j, dom in enumerate(domains):
-                mask &= dom[s >> b * j & (1 << b) - 1]
+            for j, chunk in enumerate(chunks):
+                mask &= chunk[s >> b * j & (1 << b) - 1][-1]
             assert 0 <= mask < 1 << len(pfa.letters)
             for a in range(len(pfa.letters)):
                 expect = image(pfa, a, s) is not None  # the definition, from delta
@@ -301,22 +302,24 @@ def test_domains_match_image_for_every_letter():
 
 
 def _compile_letters_by_rows(pfa):
-    """Reference letter tables, built a whole row at a time by doubling:
-    four equal chunks up to 32 states, 8-state chunks beyond."""
+    """Reference letter tables, built a whole row record at a time by
+    doubling: four equal chunks up to 32 states, 8-state chunks beyond, and
+    each row's images followed by its domain mask."""
     n = pfa.n
     b = 8 if n > 32 else max(1, (n + 3) // 4)
     width = range(len(pfa.letters))
     tables = []
     for lo in range(0, max(n, 4 * b), b):
-        tab = [(0,) * len(width)]
+        tab = [(0,) * len(width) + ((1 << len(width)) - 1,)]
         for q in range(lo, min(lo + b, n)):
             row = [pfa.delta[q][a] for a in width]
             if any(t is not None and not 0 <= t < n for t in row):
                 raise ValueError(f"delta row {q} has a target outside {n} states")
             bits = [-1 if t is None else 1 << t for t in row]
-            tab += [tuple(map(or_, img, bits)) for img in tab]
+            defined = sum(1 << a for a in width if row[a] is not None)
+            tab += [(*map(or_, rec, bits), rec[-1] & defined) for rec in tab]
         tables.append(tab)
-    return tables
+    return b, tables[:4], [(tab, b * j) for j, tab in enumerate(tables[4:], 4)]
 
 
 def _compiled(compile, pfa):
@@ -332,7 +335,7 @@ def test_letter_tables_match_the_row_doubling_reference():
     for n, seed in itertools.product((1, 7, 8, 9, 31, 32, 33, 40), range(4)):
         pfa = gen_random(n, 1 + seed, 0.9, seed)
         undefined += sum(row.count(None) for row in pfa.delta)
-        assert [rows for rows, _ in compile_letters(pfa)] == _compile_letters_by_rows(pfa)
+        assert compile_letters(pfa) == _compile_letters_by_rows(pfa)
     assert undefined
     # ragged rows and targets out of range, alone and in either order
     rng = random.Random(9)
@@ -354,17 +357,20 @@ def test_letter_tables_match_the_row_doubling_reference():
 
 def test_letter_tables_are_sized_to_the_automaton():
     # up to 32 states exactly four chunks of at most ceil(n/4) states, and
-    # 8-state chunks beyond; a chunk of m states has 2^m rows and 2^m
-    # domain rows
+    # 8-state chunks beyond; a chunk of m states has 2^m row records, each
+    # two images and a domain mask
     total = {}
     for n in range(1, 41):
-        tables = compile_letters(gen_random(n, 2, 0.9, n))
-        sizes = [len(rows) for rows, _ in tables]
-        assert [len(dom) for _, dom in tables] == sizes
+        b, unrolled, wide = compile_letters(gen_random(n, 2, 0.9, n))
+        assert len(unrolled) == 4
+        chunks = unrolled + [chunk for chunk, _ in wide]
+        assert {len(row) for chunk in chunks for row in chunk} == {3}
+        sizes = [len(chunk) for chunk in chunks]
         states = [size.bit_length() - 1 for size in sizes]
         assert sizes == [1 << m for m in states] and sum(states) == n
+        assert b == max(states)
         if n <= 32:
-            assert len(states) == 4 and max(states) <= (n + 3) // 4
+            assert not wide and b <= (n + 3) // 4
         else:
             assert states == [8] * (n // 8) + [n % 8] * (n % 8 > 0)
         total[n] = sum(sizes)
@@ -373,8 +379,10 @@ def test_letter_tables_are_sized_to_the_automaton():
 
 def test_letterless_pfa():
     pfa = Pfa((), ((), ()))
-    tables = [rows for rows, _ in compile_letters(pfa)]
+    tables = compile_letters(pfa)
     assert tables == _compile_letters_by_rows(pfa)
-    assert tables[0] == [()] * 2  # one state per chunk
+    b, unrolled, wide = tables
+    # one state per chunk, and each row record is its empty domain mask alone
+    assert (b, unrolled[0], wide) == (1, [(0,)] * 2, [])
     assert shortest_careful_word(pfa) is None
     assert reachable_subset_count(pfa) == 1

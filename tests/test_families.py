@@ -74,6 +74,10 @@ def test_grid_param_validation():
         gen_grid(1, 2)
     with pytest.raises(ValueError):
         gen_grid(2, 0)
+    with pytest.raises(ValueError, match="k must be at least 2"):
+        gen_chain(1)
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        gen_cerny(1)
 
 
 def _rule_defined(d, k, q, col):
@@ -187,6 +191,8 @@ def test_padded_param_validation():
         gen_padded(3, 6)  # divisible
     with pytest.raises(ValueError):
         gen_padded(3, 3)  # not above d
+    with pytest.raises(ValueError, match="d must be at least 2"):
+        gen_padded(1, 3)
 
 
 def test_random_determinism():

@@ -2,7 +2,9 @@
 
 The pins were taken from the code before counter grids were built as the
 expansion of the chain, so they check the expansion independently of
-:func:`carefulsync.transforms.transform`.
+:func:`carefulsync.transforms.transform`.  The commands on automata of more
+than 32 states, whose letter tables have chunks beyond the four unrolled
+ones, were pinned before each chunk row held its domain mask.
 """
 
 import hashlib
@@ -40,6 +42,13 @@ COMMANDS = [
     ["errata"],
     ["transform", "chain:k=3", "--d", "2"],
     ["transform", "cerny:n=3", "--d", "2", "--word", "c1 c2 c2 c1"],
+    ["solve", "grid:d=11,k=3"],
+    ["check", "grid:d=11,k=3"],
+    ["solve", "grid:d=17,k=2"],
+    ["check", "grid:d=17,k=2"],
+    ["solve", "random:n=40,l=3,p=0.95,seed=1"],
+    # unforced at step 3, so the rest of the word is walked over the wide rows
+    ["check", "random:n=40,l=3,p=0.95,seed=1", "--word", "a a a a a a a b a a a b c"],
 ]
 
 # " ".join(argv) -> (exit code, sha256 of stdout)
@@ -94,6 +103,12 @@ GOLDEN = {
     'errata': (0, 'de590aee1dc9be7cbf38ad6316771fafa92ae03b02b6942888d2b49b87d20c08'),
     'transform chain:k=3 --d 2': (0, '8573415f62c341d2539a694cb867f5edf318c4543138a5c13adfed1f29454cbf'),
     'transform cerny:n=3 --d 2 --word c1 c2 c2 c1': (0, 'a782c8348a172c961c206e11d45d3183fe88f6d3caf2f3d0902451fd000e1178'),
+    'solve grid:d=11,k=3': (0, '9e0a5a64e7bec63082f96eb7ea829573c85ae4518c411a9c9f067258de942b04'),
+    'check grid:d=11,k=3': (0, '037c3617e4355e1228f9ae674561b4c9dfd23bac429c55eb23510447fa6df2c4'),
+    'solve grid:d=17,k=2': (0, '105c32d10c8748be2f4a49e2d8aa01603be7d01841ba8206aec3c1c385456bb4'),
+    'check grid:d=17,k=2': (0, '9128f873f35b8f2f719882289a985b31e263dc75d24704e59a947ab709d3757a'),
+    'solve random:n=40,l=3,p=0.95,seed=1': (0, '317fbab42fdb87313a4fadf6b153d445296c0ad350d41037f8baf484adfbbd8e'),
+    'check random:n=40,l=3,p=0.95,seed=1 --word a a a a a a a b a a a b c': (1, '8da5ebdb5b5cdac427ae026b823cd44b6dc31427375638559beb7920a482b9aa'),
 }
 
 GRID_TABLES = {

@@ -559,7 +559,7 @@ def _with_boundary_holes(pfa):
     """``pfa`` with letter 0 kept total and the other letters undefined on
     both sides of every chunk start of the letter tables, and on the top
     state."""
-    b = search._chunk_bits(pfa.n)
+    b = compile_letters(pfa)[0]
     holes = {q for lo in range(b, pfa.n, b) for q in (lo - 1, lo)} | {pfa.n - 1}
     delta = [list(row) for row in pfa.delta]
     for i, q in enumerate(sorted(holes)):
@@ -578,7 +578,7 @@ def test_kernel_and_run_word_match_naive_images_across_chunks():
     cases += [(64, 0), (64, 6), (64, 8), (65, 0), (65, 6), (72, 2), (72, 5)]
     for n, seed in cases:
         pfa = _with_boundary_holes(gen_random(n, 3 if n < 10 else 2, 1.0, seed))
-        assert len(compile_letters(pfa)) == max(4, (n + 7) // 8)  # n > 32: chunks beyond the unrolled four
+        assert 4 + len(compile_letters(pfa)[2]) == max(4, (n + 7) // 8)  # n > 32: chunks beyond the unrolled four
         levels, word = _naive_bfs(pfa)
         assert reachable_subset_count(pfa) == len(levels)
         for s in levels:

@@ -84,6 +84,8 @@ def test_word_builder_params():
         grid_word(2, 1)
     with pytest.raises(ValueError):
         grid_word_claimed_length(1, 2)
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        cerny_word(1)
 
 
 def test_grid_word_within_the_word_budget():
@@ -188,6 +190,8 @@ def test_digit_subset_validation():
         digit_subset(2, [1], 2)
     with pytest.raises(ValueError):
         digit_subset(2, [1], -1)
+    with pytest.raises(ValueError, match="class indices are 1-based"):
+        digit_subset(2, [0], 0)
 
 
 def test_odometer_trace_exact():
