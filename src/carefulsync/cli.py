@@ -153,10 +153,10 @@ def _cmd_transform(args) -> int:
     if args.word is not None:
         base_word = parse_word(base.letters, args.word)
         lifted = lift_word(args.d, base, base_word)
-        ok, state = is_careful_sync_word(auto, lifted)
-        print(f"lifted-word: {format_word(auto.letters, lifted)}")
-        print(f"length: {len(lifted)}")
-        print(f"verifies: {'yes' if ok else 'no'}")
+        ok, _ = is_careful_sync_word(auto, lifted)
+        _emit(f"lifted-word: {format_word(auto.letters, lifted)}\n"
+              f"length: {len(lifted)}\n"
+              f"verifies: {'yes' if ok else 'no'}\n", args.out)
         return EXIT_OK if ok else EXIT_NOT_SYNC
     _emit(automaton_to_json(auto), args.out)
     return EXIT_OK

@@ -190,28 +190,37 @@ def grid_fact_violations(pfa: Pfa, d: int, k: int) -> list[str]:
 class _Kind(NamedTuple):
     keys: tuple[str, ...]  # spec parameters, in generator-argument order
     build: Callable[..., Pfa]
-    # states times letters, at least one per state, before the generator's checks
-    entries: Callable[..., int]
+    # the table's (states, letters), before the generator's checks
+    shape: Callable[..., tuple[int, int]]
 
 
 # Generators are named inside lambdas, so a wrapped module function is the
 # one that runs.
 _KINDS = {
-    "witness": _Kind((), lambda: gen_witness(), lambda: 4 * 3),
-    "grid": _Kind(("d", "k"), lambda d, k: gen_grid(d, k), lambda d, k: d * k * 2 * k),
-    "cerny": _Kind(("n",), lambda n: gen_cerny(n), lambda n: n * 2),
-    "chain": _Kind(("k",), lambda k: gen_chain(k), lambda k: k * (k - 1)),
+    "witness": _Kind((), lambda: gen_witness(), lambda: (4, 3)),
+    "grid": _Kind(("d", "k"), lambda d, k: gen_grid(d, k), lambda d, k: (d * k, 2 * k)),
+    "cerny": _Kind(("n",), lambda n: gen_cerny(n), lambda n: (n, 2)),
+    "chain": _Kind(("k",), lambda k: gen_chain(k), lambda k: (k, k - 1)),
     "padded": _Kind(("d", "n"), lambda d, n: gen_padded(d, n),
-                    lambda d, n: n * (2 * (n // max(d, 2)) + 1)),
+                    lambda d, n: (n, 2 * (n // max(d, 2)) + 1)),
     "random": _Kind(("n", "l", "p", "seed"), lambda n, l, p, seed: gen_random(n, l, p, seed),
-                    lambda n, l, p, seed: n * max(l, 1)),
+                    lambda n, l, p, seed: (n, l)),
 }
 
 _FIELD_NAMES = {"l": "letter_count", "p": "density"}
 
-# Specs whose table would hold more entries than this are rejected when
-# parsed; building 2^25 entries takes seconds and about 1 GiB.
+# Specs, expansions and documents over this many table entries are refused
+# before building or reading; 2^25 entries take seconds and about 1 GiB.
 MAX_TABLE_ENTRIES = 1 << 20
+
+
+def check_table_size(what: str, states: int, letters: int) -> None:
+    """Raise ValueError when ``what``, a table of ``states`` rows of ``letters``
+    entries, holds more than MAX_TABLE_ENTRIES entries, at least one per state."""
+    entries = states * max(letters, 1)
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(f"{what} has {entries} table entries "
+                         f"(states times letters), over the limit of {MAX_TABLE_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -280,8 +289,5 @@ def parse_family(text: str) -> FamilySpec:
     if missing:
         raise ValueError(f"family {kind!r} is missing parameters: {', '.join(missing)}")
     spec = FamilySpec(kind, **{_FIELD_NAMES.get(key, key): value for key, value in given.items()})
-    entries = _KINDS[kind].entries(*spec.args)
-    if entries > MAX_TABLE_ENTRIES:
-        raise ValueError(f"family {spec.to_string()} has {entries} table entries "
-                         f"(states times letters), over the limit of {MAX_TABLE_ENTRIES}")
+    check_table_size(f"family {spec.to_string()}", *_KINDS[kind].shape(*spec.args))
     return spec

@@ -12,7 +12,7 @@ import json
 from collections import defaultdict
 
 from .core import Pfa, validate
-from .families import MAX_TABLE_ENTRIES
+from .families import check_table_size
 
 FORMAT_VERSION = 1
 
@@ -46,9 +46,10 @@ def automaton_to_json(pfa: Pfa, family: str | None = None) -> str:
 def load_document(text: str) -> tuple[Pfa, str | None]:
     """Parse a document; returns the automaton and its metadata string.
 
-    A table of more than :data:`~carefulsync.families.MAX_TABLE_ENTRIES`
-    entries (states times letters, at least one per state) is rejected
-    before its rows are read.
+    A table over :func:`~carefulsync.families.check_table_size`'s bound
+    raises ParseError before its rows are read.  Row lengths and targets are
+    left to :func:`~carefulsync.core.validate`, whose diagnostics raise
+    ValidationError.
     """
     try:
         doc = json.loads(text)
@@ -65,10 +66,10 @@ def load_document(text: str) -> tuple[Pfa, str | None]:
     states = doc.get("states")
     if not isinstance(states, int) or isinstance(states, bool):
         raise ParseError("field 'states' must be an integer")
-    entries = states * max(len(letters), 1)
-    if entries > MAX_TABLE_ENTRIES:
-        raise ParseError(f"document has {entries} table entries "
-                         f"(states times letters), over the limit of {MAX_TABLE_ENTRIES}")
+    try:
+        check_table_size("document", states, len(letters))
+    except ValueError as e:
+        raise ParseError(str(e)) from None
     delta = doc.get("delta")
     if not isinstance(delta, list):
         raise ParseError("field 'delta' must be a list of per-state rows")
@@ -77,10 +78,6 @@ def load_document(text: str) -> tuple[Pfa, str | None]:
     for q, row in enumerate(delta):
         if not isinstance(row, list):
             raise ParseError(f"delta row {q} is not a list")
-        if len(row) != len(letters):
-            raise ParseError(
-                f"delta row {q} has {len(row)} entries, expected {len(letters)}"
-            )
     state_names = doc.get("state_names")
     if state_names is not None:
         if not isinstance(state_names, list) or not all(

@@ -127,9 +127,10 @@ def _agree_cell(flag: bool | None) -> str:
 def sweep_csv(rows: Sequence[SweepRow], include_timings: bool = False) -> str:
     """Render sweep rows as CSV with a versioned header comment.
 
-    Spec strings contain commas, so cells are quoted as needed.  Wall times
-    are blanked unless ``include_timings`` is set, keeping the default
-    output byte-identical across runs.
+    Spec strings contain commas, so cells are quoted as needed; a missing
+    value is an empty cell.  Wall times are blanked unless
+    ``include_timings`` is set, keeping the default output byte-identical
+    across runs.
     """
     buf = io.StringIO()
     buf.write(CSV_FORMAT_COMMENT + "\n")
@@ -137,26 +138,14 @@ def sweep_csv(rows: Sequence[SweepRow], include_timings: bool = False) -> str:
     writer.writerow(CSV_COLUMNS)
     for r in rows:
         if r.bfs_status == "ok":
-            bfs = str(r.bfs_length)
+            bfs = r.bfs_length
         elif r.bfs_status == "not-sync":
             bfs = "NOT_SYNC"
         else:
             bfs = "CAP"
-        writer.writerow(
-            [
-                r.spec,
-                "" if r.d is None else str(r.d),
-                "" if r.size is None else str(r.size),
-                str(r.states),
-                bfs,
-                "" if r.builder_length is None else str(r.builder_length),
-                "" if r.claimed_length is None else str(r.claimed_length),
-                _agree_cell(r.agree_builder_bfs),
-                _agree_cell(r.agree_claimed_bfs),
-                str(r.visited_subsets),
-                f"{r.wall_time_s:.6f}" if include_timings else "",
-            ]
-        )
+        writer.writerow([r.spec, r.d, r.size, r.states, bfs, r.builder_length, r.claimed_length,
+                         _agree_cell(r.agree_builder_bfs), _agree_cell(r.agree_claimed_bfs),
+                         r.visited_subsets, f"{r.wall_time_s:.6f}" if include_timings else ""])
     return buf.getvalue()
 
 

@@ -358,11 +358,15 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
     """
     if not pfa.n:
         raise ValueError("the automaton has no states")
+    last = len(pfa.letters)  # the index of a row's domain mask, as in the kernel
+    width = range(last)
+    if not word:  # a walk that reads no letter compiles no table
+        return pfa.full_set(), None
+    if word[0] not in width:
+        raise ValueError(f"letter index {word[0]} out of range")
     b, (t0, t1, t2, t3), wide = compile_letters(pfa)
     b2, b3, m = 2 * b, 3 * b, (1 << b) - 1
-    last = len(pfa.letters)  # the index of a row's domain mask, as in the kernel
     letters = _LetterLists(last)
-    width = range(last)
     # Subsets on the path so far.  Past the first unforced step the walk
     # only applies the word.
     seen = set()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Pfa, is_careful_sync_word, run_word, states_from_bits
-from .families import MAX_TABLE_ENTRIES, expand, gen_cerny
+from .families import check_table_size, expand, gen_cerny
 from .words import cerny_alt_word, check_word_budget, counting_word, min_alt_reps
 
 
@@ -54,10 +54,7 @@ def transform(d: int, base: Pfa) -> Pfa:
     k, s = base.n, len(base.letters)
     if k < 1 or s < 1:
         raise ValueError("base automaton needs at least one state and one letter")
-    entries = d * k * (1 + k + s)
-    if entries > MAX_TABLE_ENTRIES:
-        raise ValueError(f"the {d}-expansion has {entries} table entries "
-                         f"(states times letters), over the limit of {MAX_TABLE_ENTRIES}")
+    check_table_size(f"the {d}-expansion", d * k, 1 + k + s)
     return expand(d, base, [f"c{l}" for l in range(1, s + 1)])
 
 

@@ -197,7 +197,6 @@ def parse_word(letters: Sequence[str], text: str) -> tuple[int, ...]:
                 raise ValueError(f"bad exponent in {token!r}") from None
             if count < 0:
                 raise ValueError(f"negative exponent in {token!r}")
-        if len(out) + count > MAX_WORD_LEN:
-            raise ValueError(f"word has more than {MAX_WORD_LEN} letters")
+        check_word_budget(f"word up to {token!r}", len(out) + count)
         out.extend([index[name]] * count)
     return tuple(out)

@@ -249,13 +249,15 @@ def test_check_empty_word_is_checked(capsys):
 
 
 def test_word_input_over_the_word_budget(capsys):
-    for word in ("c1^1000001", "c1^600000 c1^600000"):
+    for word, err in (("c1^1000001", "'c1^1000001' has 1000001"),
+                      ("c1^600000 c1^600000", "'c1^600000' has 1200000")):
         for argv in (["verify", "cerny:n=4"], ["check", "cerny:n=4"],
                      ["transform", "cerny:n=4", "--d", "2"]):
             assert main(argv + ["--word", word]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert "more than 1000000 letters" in captured.err
+            assert captured.err == (f"error: the word up to {err} letters, "
+                                    "over the budget of 1000000\n")
 
 
 def test_transform_over_the_table_limit(tmp_path, capsys):
@@ -264,7 +266,8 @@ def test_transform_over_the_table_limit(tmp_path, capsys):
     assert main(["transform", "witness", "--d", "100000", "--out", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "3200000 table entries" in captured.err
+    assert captured.err == ("error: the 100000-expansion has 3200000 table entries "
+                            "(states times letters), over the limit of 1048576\n")
     assert not path.exists()
 
 

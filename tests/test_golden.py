@@ -137,3 +137,11 @@ def test_cli_output_is_pinned(argv, capsys):
 def test_grid_table_is_pinned(d, k):
     g = gen_grid(d, k)
     assert _digest(repr((g.letters, g.delta, g.state_names))) == GRID_TABLES[d, k]
+
+
+def test_transform_word_writes_the_pinned_lines_to_out(tmp_path, capsys):
+    argv = ["transform", "cerny:n=3", "--d", "2", "--word", "c1 c2 c2 c1"]
+    path = tmp_path / "lifted.txt"
+    code = main(argv + ["--out", str(path)])
+    assert capsys.readouterr().out == ""
+    assert (code, _digest(path.read_text())) == GOLDEN[" ".join(argv)]

@@ -57,8 +57,9 @@ def test_parse_rejects_wrong_version():
 def test_parse_rejects_bad_arity():
     doc = json.loads(automaton_to_json(gen_witness()))
     doc["delta"][2] = [1, 2]
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError) as err:
         automaton_from_json(json.dumps(doc))
+    assert str(err.value) == "delta row 2 has 2 entries, expected 3"
 
 
 def test_parse_rejects_row_count_mismatch():

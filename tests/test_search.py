@@ -329,6 +329,21 @@ def test_forced_path_rejects_out_of_range_letters_and_starts():
             forced_path_check(Pfa(("a",), ()), w)
 
 
+def test_forced_path_compiles_no_table_for_a_walk_that_reads_none():
+    # an empty word, or a first letter outside the alphabet, reads no row:
+    # on a letterless 2^16-state table a compiled table would take about 100 MiB
+    pfa = Pfa((), ((),) * (1 << 16))
+    tracemalloc.start()
+    try:
+        assert forced_path_check(pfa, ()) == (pfa.full_set(), None)
+        with pytest.raises(ValueError, match="letter index 0 out of range"):
+            forced_path_check(pfa, (0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_forced_path_builds_at_most_one_step(monkeypatch):
     built = []
     monkeypatch.setattr(search, "ForcedStep", lambda *args: built.append(args))

@@ -262,6 +262,10 @@ def test_word_text_length_bound():
     letters = ("c1", "c2")
     assert len(parse_word(letters, f"c1^{MAX_WORD_LEN}")) == MAX_WORD_LEN == 1_000_000
     assert len(parse_word(letters, "c1^500000 c2^499999 c1")) == MAX_WORD_LEN
-    for text in ("c1^1000001", "c1^600000 c1^600000", "c1^1000000 c2"):
-        with pytest.raises(ValueError, match="more than 1000000 letters"):
+    for text, token, length in (("c1^1000001", "c1^1000001", 1000001),
+                                ("c1^600000 c1^600000", "c1^600000", 1200000),
+                                ("c1^1000000 c2", "c2", 1000001)):
+        with pytest.raises(ValueError) as err:
             parse_word(letters, text)
+        assert str(err.value) == (f"the word up to {token!r} has {length} letters, "
+                                  "over the budget of 1000000")
