@@ -44,13 +44,10 @@ def _load_automaton(target: str) -> tuple[Pfa, FamilySpec | None]:
         except OSError as e:
             raise ParseError(f"cannot read {target}: {e}") from None
         pfa, metadata = load_document(text)
-        spec = None
-        if metadata:
-            try:
-                spec = parse_family(metadata)
-            except ValueError:
-                spec = None
-        return pfa, spec
+        try:  # metadata that is not a family spec is ignored
+            return pfa, parse_family(metadata) if metadata else None
+        except ValueError:
+            return pfa, None
     spec = parse_family(target)
     return spec.build(), spec
 

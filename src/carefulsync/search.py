@@ -139,9 +139,10 @@ def _rebuild(parent: Sequence[int], width: int) -> tuple[int, ...]:
     """
     word, j = [], len(parent) - 1
     while j:
-        j, a = divmod(parent[j], width)
-        word.append(a)
-    return tuple(reversed(word))
+        j = (link := parent[j]) // width
+        word.append(link - j * width)
+    word.reverse()
+    return tuple(word)
 
 
 def _bfs(
@@ -169,11 +170,11 @@ def _bfs(
         raise CapExceeded(1)
     if start in goals:
         return (), start, 1
-    if not pfa.letters:  # only the start is reachable
+    width = len(pfa.letters)
+    if all(image(pfa, a, start) is None for a in range(width)):  # only the start is reachable
         return None, None, 1
     b, (t0, t1, t2, t3), wide = compile_letters(pfa)
-    b2, b3, m = 2 * b, 3 * b, (1 << b) - 1
-    width = len(pfa.letters)
+    b2, b3, b4, m = 2 * b, 3 * b, 4 * b, (1 << b) - 1
     letters = _LetterLists(width)
     # The visited table reads 1 for a discovered subset, 2 for a goal not
     # yet discovered and 0 otherwise, so a probe is one lookup.  Only the
@@ -181,12 +182,9 @@ def _bfs(
     # subset.  It starts hashed, at about 64 bytes per entry; the budget
     # check also moves it to the flat table of 2^n bytes once it holds
     # 2^n / 64 subsets.
-    seen = defaultdict(int)
+    seen = defaultdict(int, dict.fromkeys(goals, 2))
     limit = min(max_subsets, (1 << n) >> 6) if n <= FLAT_TABLE_LIMIT else max_subsets
-    for g in goals:
-        seen[g] = 2
-    seen[start] = 1
-    count = 1
+    seen[start] = count = 1
     # The link of each discovered subset in BFS order: its parent's index
     # times ``width`` plus the letter that first reached it, in 4 bytes
     # while every link fits, else 8.  ``base`` is the index of the subset
@@ -204,12 +202,14 @@ def _bfs(
             # CPython specialises only nonnegative tuple subscripts.
             r0, r1, r2, r3 = t0[s & m], t1[s >> b & m], t2[s >> b2 & m], t3[s >> b3 & m]
             defined = r0[width] & r1[width] & r2[width] & r3[width]
-            for tab, shift in wide:  # states 32 and up; empty when n <= 32
-                row = tab[s >> shift & m]
+            hi = s >> b4  # states 32 and up, in 8-state chunks; 0 when n <= 32
+            while hi:  # the wide chunks that hold a state of ``s``, lowest first
+                j = (hi & -hi).bit_length() - 1 >> 3
+                row = wide[j][0][hi >> 8 * j & 255]
                 defined &= row[width]
-                # this ORs the domain masks too, a slot no probe reads: the
-                # letters probed are all below the alphabet size
+                # this ORs the domain masks too, a slot no probe reads
                 r3 = tuple(map(or_, r3, row))
+                hi &= -256 << 8 * j
             for a in letters[defined]:
                 t = r0[a] | r1[a] | r2[a] | r3[a]
                 v = seen[t]
@@ -367,16 +367,12 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
     b, (t0, t1, t2, t3), wide = compile_letters(pfa)
     b2, b3, m = 2 * b, 3 * b, (1 << b) - 1
     letters = _LetterLists(last)
-    # Subsets on the path so far.  Past the first unforced step the walk
-    # only applies the word.
-    seen = set()
-    cur, step, forced = pfa.full_set(), None, True
+    # ``seen`` holds the subsets on the path; past the first unforced step
+    # the walk only applies the word.
+    seen, cur, step, forced = set(), pfa.full_set(), None, True
     for pos, letter in enumerate(word):
-        if letter not in width:
-            raise ValueError(f"letter index {letter} out of range")
-        # The letters defined on ``cur`` and its chunk rows, unrolled over
-        # the first four chunks as in the kernel; a wide chunk row is kept only
-        # when ``cur`` has a state in it.
+        # The letters defined on ``cur`` and its chunk rows, as in the kernel;
+        # a wide chunk row is kept only when ``cur`` has a state in it.
         r0, r1, r2, r3 = t0[cur & m], t1[cur >> b & m], t2[cur >> b2 & m], t3[cur >> b3 & m]
         defined = r0[last] & r1[last] & r2[last] & r3[last]
         rows = []
@@ -389,22 +385,28 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
         nxt = None
         if forced:
             seen.add(cur)
-            new = []
+            off = 0
             for a in letters[defined]:
                 t = r0[a] | r1[a] | r2[a] | r3[a]
-                for row in rows:
-                    t |= row[a]
+                if rows:
+                    for row in rows:
+                        t |= row[a]
                 if a == letter:
                     nxt = t
                 if t not in seen:
-                    new.append(t)
-            if new != [nxt] or cur.bit_count() == 1:
-                forced = False
-                out = [image(pfa, a, cur) for a in width]
-                step = ForcedStep(pos, cur,
-                                  tuple(a for a in width if out[a] is not None and out[a] not in seen),
-                                  tuple(a for a in width if out[a] is None),
-                                  tuple(a for a in width if out[a] in seen))
+                    off += 1
+            if off == 1 and nxt is not None and nxt not in seen and cur.bit_count() > 1:
+                cur = nxt
+                continue
+        if letter not in width:  # never defined, so a forced step checks it only here
+            raise ValueError(f"letter index {letter} out of range")
+        if forced:
+            forced = False
+            out = [image(pfa, a, cur) for a in width]
+            step = ForcedStep(pos, cur,
+                              tuple(a for a in width if out[a] is not None and out[a] not in seen),
+                              tuple(a for a in width if out[a] is None),
+                              tuple(a for a in width if out[a] in seen))
         elif defined >> letter & 1:
             nxt = r0[letter] | r1[letter] | r2[letter] | r3[letter]
             for row in rows:

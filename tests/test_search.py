@@ -403,6 +403,15 @@ def test_forced_path_matches_the_two_pass_definition():
               (g, word[:2] + (-1,) + word[2:]), (g, word + (len(g.letters),)),
               (g, (3,) + word), (g, word[:2] + (5, 3) + word[2:]),
               (g, word[:2] + (3,) + word[2:]), (g, ())]
+    # wide grids (34 and 33 states): the builder words, with and without a
+    # looping first a, and a letter outside the alphabet right after a
+    # forced prefix and right after an unforced step
+    for d, k in ((17, 2), (11, 3)):
+        w, word = gen_grid(d, k), grid_word(d, k)
+        bad = len(w.letters)
+        cases += [(w, word), (w, word[:1] + word), (w, word[:5] + (bad,) + word[5:]),
+                  (w, word[:5] + (-1,)), (w, word[:2] + (-1,) + word[2:]),
+                  (w, word[:1] + word[:1] + (-1,) + word[1:]), (w, word[:1] + word[:9] + (bad,))]
     # a copy of a letter: where the word's letter leads somewhere new, so
     # does its copy, to the same subset
     def with_copy(pfa, a):
@@ -461,6 +470,20 @@ def test_not_sync_iff_no_singleton_reachable():
     pfa = Pfa(("a", "b"), ((1, 1), (0, 0)))
     assert shortest_careful_word(pfa) is None
     assert reachable_subset_count(pfa) == 1  # {0,1} only maps to itself
+
+
+def test_search_from_a_start_without_letters_compiles_nothing(monkeypatch):
+    def _fail(pfa):
+        raise AssertionError("compiled the chunk tables")
+
+    monkeypatch.setattr(search, "compile_letters", _fail)
+    # no letter is defined on the full set: a is undefined on one state, b on
+    # another; the third table is unvalidated, and row 2's targets lie outside
+    # the states, but the search never reads them
+    for pfa in (Pfa(("a", "b"), ((1, None), (None, 0))),
+                Pfa(("a", "b"), ((None, 1), (0, None), (7, -1))), Pfa((), ((),) * 3)):
+        assert shortest_careful_word(pfa) is None
+        assert reachable_subset_count(pfa) == 1
 
 
 def test_letterless_search_does_no_work_per_state():
@@ -739,6 +762,46 @@ def test_kernel_golden_words(pfa, digest, visited):
     found = shortest_careful_word(pfa)
     assert hashlib.sha256(bytes(found.word)).hexdigest() == digest
     assert found.visited_subsets == visited
+
+
+def _poisoned_wide_rows(compile_letters):
+    """``compile_letters`` with row 0 of every wide chunk all -1 and mask 0,
+    so a kernel that reads the row of a chunk holding none of its subset's
+    states finds no letter defined there."""
+    def compile_poisoned(pfa):
+        b, unrolled, wide = compile_letters(pfa)
+        row = (-1,) * len(pfa.letters) + (0,)
+        return b, unrolled, [([row] + chunk[1:], shift) for chunk, shift in wide]
+
+    return compile_poisoned
+
+
+@pytest.mark.parametrize(
+    "pfa, digest, visited, reachable",
+    [
+        (gen_grid(17, 2), "0ba7608df1e0ec1d1ab70288be483f6d369ec2e10acdfd39e2783eccf2715609", 291, 307),
+        (gen_grid(11, 3), "8304d8e07dbc25b3302af46ddd32a47e51ff140cc54b2ba22261cd99dd28131e",
+         1454, 1464),
+        (gen_random(40, 3, 0.95, 1),
+         "b0aa6f7f446e600a3a35a62ac27c5725d3a8ec4807988ecb7a2833f3395af4d8", 1083, 67756),
+    ],
+    ids=["grid:d=17,k=2", "grid:d=11,k=3", "random:n=40,l=3,p=0.95,seed=1"],
+)
+def test_kernel_reads_no_row_of_an_unoccupied_wide_chunk(monkeypatch, pfa, digest, visited,
+                                                         reachable):
+    monkeypatch.setattr(search, "compile_letters", _poisoned_wide_rows(search.compile_letters))
+    found = shortest_careful_word(pfa)
+    assert hashlib.sha256(bytes(found.word)).hexdigest() == digest
+    assert found.visited_subsets == visited
+    assert reachable_subset_count(pfa) == reachable
+
+
+def test_wide_grid_search_visits_one_subset_per_letter():
+    # 400 states, so 46 wide chunks, and each subset on the path holds states
+    # of only a few of them
+    found = shortest_careful_word(gen_grid(200, 2))
+    assert found.word == grid_word(200, 2)
+    assert found.visited_subsets == found.length + 1
 
 
 def test_reachable_count_keeps_only_two_levels():
