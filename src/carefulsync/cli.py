@@ -44,10 +44,13 @@ def _load_automaton(target: str) -> tuple[Pfa, FamilySpec | None]:
         except OSError as e:
             raise ParseError(f"cannot read {target}: {e}") from None
         pfa, metadata = load_document(text)
-        try:  # metadata that is not a family spec is ignored
-            return pfa, parse_family(metadata) if metadata else None
-        except ValueError:
-            return pfa, None
+        spec = None
+        if metadata:
+            try:
+                spec = parse_family(metadata)
+            except ValueError:
+                spec = None
+        return pfa, spec
     spec = parse_family(target)
     return spec.build(), spec
 

@@ -139,7 +139,8 @@ def _rebuild(parent: Sequence[int], width: int) -> tuple[int, ...]:
     """
     word, j = [], len(parent) - 1
     while j:
-        j = (link := parent[j]) // width
+        link = parent[j]
+        j = link // width
         word.append(link - j * width)
     word.reverse()
     return tuple(word)
@@ -171,8 +172,11 @@ def _bfs(
     if start in goals:
         return (), start, 1
     width = len(pfa.letters)
-    if all(image(pfa, a, start) is None for a in range(width)):  # only the start is reachable
-        return None, None, 1
+    try:  # no letter is defined on the start, so only the start is reachable
+        if all(image(pfa, a, start) is None for a in range(width)):
+            return None, None, 1
+    except (ValueError, IndexError, TypeError):
+        pass  # a bad table entry: compile_letters raises it, with its own message
     b, (t0, t1, t2, t3), wide = compile_letters(pfa)
     b2, b3, b4, m = 2 * b, 3 * b, 4 * b, (1 << b) - 1
     letters = _LetterLists(width)
@@ -182,9 +186,12 @@ def _bfs(
     # subset.  It starts hashed, at about 64 bytes per entry; the budget
     # check also moves it to the flat table of 2^n bytes once it holds
     # 2^n / 64 subsets.
-    seen = defaultdict(int, dict.fromkeys(goals, 2))
+    seen = defaultdict(int)
     limit = min(max_subsets, (1 << n) >> 6) if n <= FLAT_TABLE_LIMIT else max_subsets
-    seen[start] = count = 1
+    for g in goals:
+        seen[g] = 2
+    seen[start] = 1
+    count = 1
     # The link of each discovered subset in BFS order: its parent's index
     # times ``width`` plus the letter that first reached it, in 4 bytes
     # while every link fits, else 8.  ``base`` is the index of the subset
@@ -207,7 +214,8 @@ def _bfs(
                 j = (hi & -hi).bit_length() - 1 >> 3
                 row = wide[j][0][hi >> 8 * j & 255]
                 defined &= row[width]
-                # this ORs the domain masks too, a slot no probe reads
+                # this ORs the domain masks too, a slot no probe reads: the
+                # letters probed are all below the alphabet size
                 r3 = tuple(map(or_, r3, row))
                 hi &= -256 << 8 * j
             for a in letters[defined]:
@@ -367,12 +375,14 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
     b, (t0, t1, t2, t3), wide = compile_letters(pfa)
     b2, b3, m = 2 * b, 3 * b, (1 << b) - 1
     letters = _LetterLists(last)
-    # ``seen`` holds the subsets on the path; past the first unforced step
-    # the walk only applies the word.
-    seen, cur, step, forced = set(), pfa.full_set(), None, True
+    # Subsets on the path so far.  Past the first unforced step the walk
+    # only applies the word.
+    seen = set()
+    cur, step, forced = pfa.full_set(), None, True
     for pos, letter in enumerate(word):
-        # The letters defined on ``cur`` and its chunk rows, as in the kernel;
-        # a wide chunk row is kept only when ``cur`` has a state in it.
+        # The letters defined on ``cur`` and its chunk rows, unrolled over
+        # the first four chunks as in the kernel; a wide chunk row is kept only
+        # when ``cur`` has a state in it.
         r0, r1, r2, r3 = t0[cur & m], t1[cur >> b & m], t2[cur >> b2 & m], t3[cur >> b3 & m]
         defined = r0[last] & r1[last] & r2[last] & r3[last]
         rows = []

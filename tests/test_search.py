@@ -407,11 +407,11 @@ def test_forced_path_matches_the_two_pass_definition():
     # looping first a, and a letter outside the alphabet right after a
     # forced prefix and right after an unforced step
     for d, k in ((17, 2), (11, 3)):
-        w, word = gen_grid(d, k), grid_word(d, k)
+        w, ww = gen_grid(d, k), grid_word(d, k)
         bad = len(w.letters)
-        cases += [(w, word), (w, word[:1] + word), (w, word[:5] + (bad,) + word[5:]),
-                  (w, word[:5] + (-1,)), (w, word[:2] + (-1,) + word[2:]),
-                  (w, word[:1] + word[:1] + (-1,) + word[1:]), (w, word[:1] + word[:9] + (bad,))]
+        cases += [(w, ww), (w, ww[:1] + ww), (w, ww[:5] + (bad,) + ww[5:]),
+                  (w, ww[:5] + (-1,)), (w, ww[:2] + (-1,) + ww[2:]),
+                  (w, ww[:1] + ww[:1] + (-1,) + ww[1:]), (w, ww[:1] + ww[:9] + (bad,))]
     # a copy of a letter: where the word's letter leads somewhere new, so
     # does its copy, to the same subset
     def with_copy(pfa, a):
@@ -484,6 +484,19 @@ def test_search_from_a_start_without_letters_compiles_nothing(monkeypatch):
                 Pfa(("a", "b"), ((None, 1), (0, None), (7, -1))), Pfa((), ((),) * 3)):
         assert shortest_careful_word(pfa) is None
         assert reachable_subset_count(pfa) == 1
+
+
+def test_dead_start_check_leaves_a_bad_entry_to_compile_letters():
+    # unvalidated tables whose bad entries the dead-start check reads: it
+    # meets row 1's 9 first, where compile_letters, row by row, stops at
+    # row 0 (its 5, or its missing b)
+    for pfa, err, msg in ((Pfa(("a", "b"), ((0, 5), (9, 0))), ValueError,
+                           "delta row 0 has a target outside 2 states"),
+                          (Pfa(("a", "b"), ((0,), (9, 0))), IndexError, "tuple index out of range")):
+        for f in (shortest_careful_word, reachable_subset_count, compile_letters):
+            with pytest.raises(err) as info:
+                f(pfa)
+            assert str(info.value) == msg
 
 
 def test_letterless_search_does_no_work_per_state():
