@@ -11,13 +11,13 @@ small sizes.
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import repeat
 from operator import or_
 from typing import AbstractSet, Sequence
 
+from . import words
 from .core import Pfa, image
 
 DEFAULT_MAX_SUBSETS = 1 << 24
@@ -31,6 +31,8 @@ FLAT_TABLE_LIMIT = 24
 class CapExceeded(RuntimeError):
     """Raised when a search would visit more subsets than its budget.
 
+    The BFS also raises it, naming the word budget, when the word it
+    rebuilds would pass :data:`~carefulsync.words.MAX_WORD_LEN` letters.
     ``visited`` counts what the search counted against the budget, named by
     ``unit``: subsets for the BFS, state steps (one per state of each
     extended prefix) for the enumeration oracle.
@@ -38,6 +40,15 @@ class CapExceeded(RuntimeError):
 
     def __init__(self, visited: int, unit: str = "subsets"):
         super().__init__(f"subset budget exhausted after visiting {visited} {unit}")
+        self.visited = visited
+
+
+class _WordBudgetExceeded(CapExceeded):
+    """The BFS's :class:`CapExceeded` for a word over the word budget."""
+
+    def __init__(self, visited: int, budget: int):
+        RuntimeError.__init__(
+            self, f"word budget of {budget} letters exhausted after visiting {visited} subsets")
         self.visited = visited
 
 
@@ -114,9 +125,10 @@ def compile_letters(
 class _LetterLists(dict):
     """The letters of each domain mask in ascending order, listed on first use.
 
-    A search can meet a new mask at every subset it expands, so each list
-    is packed: one byte per letter while every index fits in a byte, else
-    four.
+    This is the one rule that lists a mask's letters; up to 8 letters
+    :func:`_letter_lists` lists every mask through it once per process.  A
+    search can meet a new mask at every subset it expands, so each list is
+    packed: one byte per letter while every index fits in a byte, else four.
     """
 
     def __init__(self, width: int):
@@ -128,6 +140,20 @@ class _LetterLists(dict):
         bits = bin(mask)[:1:-1]
         out = self[mask] = self.packed([a for a, bit in enumerate(bits) if bit == "1"])
         return out
+
+
+@cache
+def _letter_table(width: int) -> tuple[bytes, ...]:
+    """Every domain mask's letter list for up to 8 letters, indexed by the mask."""
+    lists = _LetterLists(width)
+    return tuple(lists[mask] for mask in range(1 << width))
+
+
+def _letter_lists(width: int) -> tuple[bytes, ...] | _LetterLists:
+    """The letter lists a search indexes by domain mask: up to 8 letters one
+    tuple per process, since CPython specialises tuple subscripts and not a
+    dict subclass's; beyond, a new :class:`_LetterLists` per search."""
+    return _letter_table(width) if width <= 8 else _LetterLists(width)
 
 
 def _rebuild(parent: Sequence[int], width: int) -> tuple[int, ...]:
@@ -158,7 +184,9 @@ def _bfs(
     Letters are expanded in ascending index order, so ``word`` is the
     lexicographically least among the shortest.  Raises
     :class:`CapExceeded` once more than ``max_subsets`` subsets have been
-    discovered (so always for a budget of 0), and ValueError for a negative
+    discovered (so always for a budget of 0), or, when there are goals,
+    before expanding a level whose subsets need more than
+    :data:`~carefulsync.words.MAX_WORD_LEN` letters; and ValueError for a negative
     ``max_subsets`` or a ``start`` that is not a nonempty subset of the
     states.
     """
@@ -179,28 +207,34 @@ def _bfs(
         pass  # a bad table entry: compile_letters raises it, with its own message
     b, (t0, t1, t2, t3), wide = compile_letters(pfa)
     b2, b3, b4, m = 2 * b, 3 * b, 4 * b, (1 << b) - 1
-    letters = _LetterLists(width)
+    letters = _letter_lists(width)
     # The visited table reads 1 for a discovered subset, 2 for a goal not
     # yet discovered and 0 otherwise, so a probe is one lookup.  Only the
     # letters defined on a subset are probed, so every probe is a nonempty
-    # subset.  It starts hashed, at about 64 bytes per entry; the budget
-    # check also moves it to the flat table of 2^n bytes once it holds
-    # 2^n / 64 subsets.
-    seen = defaultdict(int)
-    limit = min(max_subsets, (1 << n) >> 6) if n <= FLAT_TABLE_LIMIT else max_subsets
-    for g in goals:
-        seen[g] = 2
+    # subset.  It starts as a plain dict probed by ``get``, at about 64
+    # bytes per entry: CPython specialises only exact built-in containers,
+    # and a defaultdict would insert each miss.  The budget check also moves
+    # it to the flat table of 2^n bytes once it holds 2^n / 64 subsets, and
+    # sets ``get`` to None.
+    seen = dict.fromkeys(goals, 2)
     seen[start] = 1
+    get = seen.get
+    limit = min(max_subsets, (1 << n) >> 6) if n <= FLAT_TABLE_LIMIT else max_subsets
     count = 1
     # The link of each discovered subset in BFS order: its parent's index
     # times ``width`` plus the letter that first reached it, in 4 bytes
     # while every link fits, else 8.  ``base`` is the index of the subset
     # being expanded times ``width``, kept by one add per subset.  Without
-    # goals no word is rebuilt, so each level's links are dropped.
+    # goals no word is rebuilt, so each level's links are dropped, and no
+    # word budget applies: ``depth`` never reaches ``stop``.
     parent = array("I" if max_subsets * width <= 1 << 32 else "Q", [0])
     push_parent = parent.append
     level, base = [start], 0
+    depth, stop = 0, words.MAX_WORD_LEN if goals else -1
     while level:
+        if depth == stop:  # the next level's subsets need stop + 1 letters
+            raise _WordBudgetExceeded(count, stop)
+        depth += 1
         nxt = []
         for s in level:
             # The AND of the chunk rows' domain masks lists the letters
@@ -220,7 +254,7 @@ def _bfs(
                 hi &= -256 << 8 * j
             for a in letters[defined]:
                 t = r0[a] | r1[a] | r2[a] | r3[a]
-                v = seen[t]
+                v = get(t, 0) if get else seen[t]
                 if v == 1:
                     continue
                 seen[t] = 1
@@ -231,7 +265,7 @@ def _bfs(
                     flat = bytearray(1 << n)
                     for u, w in seen.items():
                         flat[u] = w
-                    seen, limit = flat, max_subsets
+                    seen, limit, get = flat, max_subsets, None
                 nxt.append(t)
                 push_parent(base + a)
                 if v:
@@ -254,7 +288,8 @@ def shortest_careful_word(
     shortest.
 
     Raises :class:`CapExceeded` once more than ``max_subsets`` subsets have
-    been discovered, the full set included.
+    been discovered, the full set included, and before a level whose words
+    would pass :data:`~carefulsync.words.MAX_WORD_LEN` letters.
     """
     # without letters only the full set is reachable, a goal only when n = 1
     goals = {1 << q for q in range(pfa.n)} if pfa.letters else {1}
@@ -265,7 +300,10 @@ def shortest_careful_word(
 
 
 def reachable_subset_count(pfa: Pfa, *, max_subsets: int = DEFAULT_MAX_SUBSETS) -> int:
-    """Number of subsets reachable from the full set in the power automaton."""
+    """Number of subsets reachable from the full set in the power automaton.
+
+    No word is rebuilt, so the word budget does not apply.
+    """
     return _bfs(pfa, pfa.full_set(), set(), max_subsets)[2]
 
 
@@ -274,7 +312,8 @@ def subset_distance(pfa: Pfa, src: int, dst: int) -> int | None:
 
     Arrival means mask equality, not inclusion.  Returns ``None`` when
     ``dst`` is unreachable.  Both sets must be nonempty subsets of the states.
-    Raises :class:`CapExceeded` past :data:`DEFAULT_MAX_SUBSETS` subsets.
+    Raises :class:`CapExceeded` past :data:`DEFAULT_MAX_SUBSETS` subsets,
+    or past :data:`~carefulsync.words.MAX_WORD_LEN` levels.
     """
     if not 0 < dst < 1 << pfa.n:
         raise ValueError(f"target set {dst:#x} must be a nonempty subset of {pfa.n} states")
@@ -374,11 +413,11 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
         raise ValueError(f"letter index {word[0]} out of range")
     b, (t0, t1, t2, t3), wide = compile_letters(pfa)
     b2, b3, m = 2 * b, 3 * b, (1 << b) - 1
-    letters = _LetterLists(last)
-    # Subsets on the path so far.  Past the first unforced step the walk
-    # only applies the word.
+    letters = _letter_lists(last)
+    # Subsets on the path so far.  Past the first unforced step, once
+    # ``step`` is set, the walk only applies the word.
     seen = set()
-    cur, step, forced = pfa.full_set(), None, True
+    cur, step = pfa.full_set(), None
     for pos, letter in enumerate(word):
         # The letters defined on ``cur`` and its chunk rows, unrolled over
         # the first four chunks as in the kernel; a wide chunk row is kept only
@@ -393,7 +432,7 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
                 defined &= row[last]
                 rows.append(row)
         nxt = None
-        if forced:
+        if step is None:
             seen.add(cur)
             off = 0
             for a in letters[defined]:
@@ -410,8 +449,7 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
                 continue
         if letter not in width:  # never defined, so a forced step checks it only here
             raise ValueError(f"letter index {letter} out of range")
-        if forced:
-            forced = False
+        if step is None:
             out = [image(pfa, a, cur) for a in width]
             step = ForcedStep(pos, cur,
                               tuple(a for a in width if out[a] is not None and out[a] not in seen),

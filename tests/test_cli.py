@@ -103,6 +103,18 @@ def test_solve_cap_exceeded(capsys):
     assert main(["solve", "grid:d=2,k=3", "--max-subsets", "3"]) == 4
 
 
+def test_solve_never_prints_a_word_over_the_word_budget(monkeypatch, capsys):
+    # grid:d=2,k=4's shortest word has 29 letters
+    monkeypatch.setattr(words, "MAX_WORD_LEN", 20)
+    assert main(["solve", "grid:d=2,k=4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: word budget of 20 letters exhausted after visiting 21 subsets\n"
+    monkeypatch.setattr(words, "MAX_WORD_LEN", 29)
+    assert main(["solve", "grid:d=2,k=4"]) == 0
+    assert "length: 29" in capsys.readouterr().out
+
+
 def test_bad_family_string(capsys):
     assert main(["solve", "nonsense:x=1"]) == 2
 

@@ -33,6 +33,7 @@ from carefulsync import (
     subset_distance,
     total_merging_letter,
     transform,
+    words,
 )
 from carefulsync.core import image
 from carefulsync.search import compile_letters
@@ -99,6 +100,25 @@ def test_empty_start_rejected():
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         shortest_careful_word(gen_grid(2, 3), max_subsets=3)
+
+
+def test_word_budget_stops_a_search_before_an_over_budget_level(monkeypatch):
+    # grid:d=2,k=4's shortest word has 29 letters, and each of its BFS
+    # levels holds one subset: 31 subsets in all, the last past the goal
+    g = gen_grid(2, 4)
+    monkeypatch.setattr(words, "MAX_WORD_LEN", 29)
+    assert shortest_careful_word(g).length == 29
+    assert subset_distance(g, g.full_set(), 1) == 29
+    for budget in (28, 20, 0):
+        monkeypatch.setattr(words, "MAX_WORD_LEN", budget)
+        for goal_search in (shortest_careful_word, lambda p: subset_distance(p, p.full_set(), 1)):
+            with pytest.raises(CapExceeded, match=f"^word budget of {budget} letters ") as err:
+                goal_search(g)
+            assert err.value.visited == budget + 1
+        # without goals no word is rebuilt, so the word budget does not apply
+        assert reachable_subset_count(g) == 31
+        # a start that is a goal needs no letter
+        assert search._bfs(g, 1, {1}, 1) == ((), 1, 1)
 
 
 def test_negative_budget_rejected():
@@ -346,7 +366,12 @@ def test_forced_path_compiles_no_table_for_a_walk_that_reads_none():
 
 def test_forced_path_builds_at_most_one_step(monkeypatch):
     built = []
-    monkeypatch.setattr(search, "ForcedStep", lambda *args: built.append(args))
+
+    def record(*args):
+        built.append(args)
+        return ForcedStep(*args)
+
+    monkeypatch.setattr(search, "ForcedStep", record)
     forced_path_check(gen_grid(2, 3), grid_word(2, 3))
     assert built == []
     forced_path_check(gen_cerny(5), cerny_word(5))
@@ -706,6 +731,66 @@ def test_kernel_matches_naive_bfs_on_sparse_many_letter_automata():
         for t in rng.sample(list(levels), min(len(levels), 8)):
             assert subset_distance(pfa, full, bits_from_states(t)) == levels[t]
     assert stuck > 20 and synchronizing == 8 and wide_letters == 6
+
+
+def test_small_alphabets_index_one_letter_table_per_width(monkeypatch):
+    for width in range(9):
+        table, lists = search._letter_lists(width), search._LetterLists(width)
+        assert type(table) is tuple
+        assert list(table) == [lists[mask] for mask in range(1 << width)]
+    # once a width's table is built, searches, the certificate and later
+    # calls share it and list no letters anew; 9 letters take the lazy lists
+    built = []
+
+    class Recording(search._LetterLists):
+        def __init__(self, width):
+            built.append(width)
+            super().__init__(width)
+
+    monkeypatch.setattr(search, "_LetterLists", Recording)
+    tables = {width: search._letter_lists(width) for width in (2, 6)}
+    shortest_careful_word(gen_cerny(8))
+    reachable_subset_count(gen_grid(2, 3))
+    forced_path_check(gen_grid(2, 3), grid_word(2, 3))
+    assert built == []
+    assert all(search._letter_lists(width) is table for width, table in tables.items())
+    assert type(search._letter_lists(9)) is Recording and built == [9]
+    reachable_subset_count(gen_random(5, 9, 0.8, 0))
+    assert built == [9, 9]
+
+
+def test_searches_and_forced_walk_match_references_at_8_and_9_letters():
+    # 8 letters index the per-process table, 9 the lazy lists; sparse and
+    # total tables, with random walks and the BFS word for the certificate
+    rng = random.Random(25)
+    synchronizing, outcomes = set(), set()
+    for letters, density, seed in itertools.product((8, 9), (0.3, 0.6, 0.9, 1.0), range(6)):
+        pfa = gen_random(rng.randint(2, 8), letters, density, seed)
+        levels, word = _naive_bfs(pfa)
+        assert reachable_subset_count(pfa) == len(levels)
+        found = shortest_careful_word(pfa)
+        assert (found and found.word) == word
+        walks = [] if word is None else [word]
+        if word is not None:
+            synchronizing.add((letters, density == 1.0))
+            assert found.visited_subsets == 1 + next(
+                i for i, t in enumerate(levels) if len(t) == 1)
+        for _ in range(3):
+            cur, walk = pfa.full_set(), []
+            for _ in range(rng.randint(1, 12)):
+                defined = [a for a in range(letters) if image(pfa, a, cur) is not None]
+                if not defined:
+                    walk.append(rng.randrange(letters))
+                    break
+                walk.append(rng.choice(defined))
+                cur = image(pfa, walk[-1], cur)
+            walks.append(tuple(walk))
+        for walk in walks:
+            expect = _outcome(_forced_path_reference, pfa, walk)
+            assert _outcome(forced_path_check, pfa, walk) == expect
+            outcomes.add((letters, type(expect[1])))
+    assert synchronizing == {(8, False), (8, True), (9, False), (9, True)}
+    assert outcomes == {(w, kind) for w in (8, 9) for kind in (type(None), ForcedStep)}
 
 
 def test_flat_and_hash_tables_agree(monkeypatch):
