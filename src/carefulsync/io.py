@@ -46,15 +46,17 @@ def automaton_to_json(pfa: Pfa, family: str | None = None) -> str:
 def load_document(text: str) -> tuple[Pfa, str | None]:
     """Parse a document; returns the automaton and its metadata string.
 
-    A table over :func:`~carefulsync.families.check_table_size`'s bound
-    raises ParseError before its rows are read.  Row lengths and targets are
-    left to :func:`~carefulsync.core.validate`, whose diagnostics raise
-    ValidationError.
+    Text that ``json.loads`` refuses raises ParseError, and so does a table
+    over :func:`~carefulsync.families.check_table_size`'s bound, before its
+    rows are read.  Row lengths and targets are left to
+    :func:`~carefulsync.core.validate`, whose diagnostics raise ValidationError.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: line {e.lineno}, column {e.colno}") from None
+    except (RecursionError, ValueError) as e:  # nesting or a number past Python's limits
+        raise ParseError(f"cannot parse the document: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     version = doc.get("format_version")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import repeat
 from operator import or_
 from typing import AbstractSet, Sequence
@@ -122,38 +122,29 @@ def compile_letters(
     return b, chunks[:4], [(chunk, b * j) for j, chunk in enumerate(chunks[4:], 4)]
 
 
-class _LetterLists(dict):
-    """The letters of each domain mask in ascending order, listed on first use.
+def _list_letters(mask: int, width: int) -> bytes | array:
+    """The letters of ``mask`` in ascending order: the one rule that lists them.
 
-    This is the one rule that lists a mask's letters; up to 8 letters
-    :func:`_letter_lists` lists every mask through it once per process.  A
-    search can meet a new mask at every subset it expands, so each list is
+    A search can meet a new mask at every subset it expands, so the list is
     packed: one byte per letter while every index fits in a byte, else four.
     """
-
-    def __init__(self, width: int):
-        super().__init__()
-        self.packed = bytes if width <= 256 else partial(array, "I")
-
-    def __missing__(self, mask: int):
-        # bin() writes bit 0 last; reading its digits beats shifting a wide mask
-        bits = bin(mask)[:1:-1]
-        out = self[mask] = self.packed([a for a, bit in enumerate(bits) if bit == "1"])
-        return out
+    # bin() writes bit 0 last; reading its digits beats shifting a wide mask
+    listed = [a for a, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    return bytes(listed) if width <= 256 else array("I", listed)
 
 
 @cache
 def _letter_table(width: int) -> tuple[bytes, ...]:
     """Every domain mask's letter list for up to 8 letters, indexed by the mask."""
-    lists = _LetterLists(width)
-    return tuple(lists[mask] for mask in range(1 << width))
+    return tuple(_list_letters(mask, width) for mask in range(1 << width))
 
 
-def _letter_lists(width: int) -> tuple[bytes, ...] | _LetterLists:
-    """The letter lists a search indexes by domain mask: up to 8 letters one
-    tuple per process, since CPython specialises tuple subscripts and not a
-    dict subclass's; beyond, a new :class:`_LetterLists` per search."""
-    return _letter_table(width) if width <= 8 else _LetterLists(width)
+def _letter_lists(width: int) -> tuple[bytes, ...] | dict:
+    """The letter lists a search or walk indexes by domain mask: up to 8
+    letters one tuple per process, beyond a new plain dict that the search
+    fills on a miss.  Both are exact built-in containers, the only kind whose
+    subscripts CPython specialises."""
+    return _letter_table(width) if width <= 8 else {}
 
 
 def _rebuild(parent: Sequence[int], width: int) -> tuple[int, ...]:
@@ -252,7 +243,11 @@ def _bfs(
                 # letters probed are all below the alphabet size
                 r3 = tuple(map(or_, r3, row))
                 hi &= -256 << 8 * j
-            for a in letters[defined]:
+            try:
+                listed = letters[defined]
+            except KeyError:
+                listed = letters[defined] = _list_letters(defined, width)
+            for a in listed:
                 t = r0[a] | r1[a] | r2[a] | r3[a]
                 v = get(t, 0) if get else seen[t]
                 if v == 1:
@@ -435,7 +430,11 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
         if step is None:
             seen.add(cur)
             off = 0
-            for a in letters[defined]:
+            try:
+                listed = letters[defined]
+            except KeyError:
+                listed = letters[defined] = _list_letters(defined, last)
+            for a in listed:
                 t = r0[a] | r1[a] | r2[a] | r3[a]
                 if rows:
                     for row in rows:

@@ -123,6 +123,16 @@ def test_missing_file(capsys):
     assert main(["solve", "no/such/file.json"]) == 2
 
 
+def test_solve_refuses_a_deeply_nested_document(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text('{"format_version": 1, "letters": ["a"], "states": 1, "delta": '
+                    + "[" * 3000 + "]" * 3000 + "}")
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot parse the document: maximum recursion depth")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_verify_good_word(capsys):
     assert main(["verify", "grid:d=2,k=2", "--word", "a b1 b2 b1 c2"]) == 0
     assert "synchronizes to state q0^1" in capsys.readouterr().out

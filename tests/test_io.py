@@ -47,6 +47,18 @@ def test_parse_rejects_bad_json():
         automaton_from_json("{not json")
 
 
+def test_parse_refuses_what_json_refuses_as_a_parse_error():
+    # a syntax error names its place; nesting past the recursion limit and a
+    # number past Python's limit on integer digits raise ParseError too
+    with pytest.raises(ParseError, match=r"^not valid JSON: line 2, column 1$"):
+        load_document('{"states": 1,\n}')
+    nested = '{"format_version": 1, "letters": ["a"], "states": 1, "delta": '
+    with pytest.raises(ParseError, match="maximum recursion depth exceeded"):
+        load_document(nested + "[" * 3000 + "]" * 3000 + "}")
+    with pytest.raises(ParseError, match="5000 digits"):
+        load_document('{"format_version": 1, "letters": ["a"], "states": ' + "9" * 5000 + "}")
+
+
 def test_parse_rejects_wrong_version():
     doc = json.loads(automaton_to_json(gen_witness()))
     doc["format_version"] = 99

@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import itertools
 import random
 import sys
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -734,29 +736,78 @@ def test_kernel_matches_naive_bfs_on_sparse_many_letter_automata():
 
 
 def test_small_alphabets_index_one_letter_table_per_width(monkeypatch):
+    list_letters, letter_lists = search._list_letters, search._letter_lists
+
+    def bit_scan(mask):
+        return [a for a in range(mask.bit_length()) if mask >> a & 1]
+
+    # the one listing rule, on every mask up to 10 letters and on random
+    # masks across the switch to four-byte letters past 256
+    rng = random.Random(26)
+    for width in range(11):
+        for mask in range(1 << width):
+            listed = list_letters(mask, width)
+            assert type(listed) is bytes and list(listed) == bit_scan(mask)
+    for width in (255, 256, 257, 300):
+        masks = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(40)]
+        for mask in masks:
+            listed = list_letters(mask, width)
+            assert type(listed) is (bytes if width <= 256 else array)
+            assert list(listed) == bit_scan(mask)
+    # up to 8 letters one tuple per width lists every mask by that rule
     for width in range(9):
-        table, lists = search._letter_lists(width), search._LetterLists(width)
+        table = letter_lists(width)
         assert type(table) is tuple
-        assert list(table) == [lists[mask] for mask in range(1 << width)]
+        assert list(table) == [list_letters(mask, width) for mask in range(1 << width)]
     # once a width's table is built, searches, the certificate and later
-    # calls share it and list no letters anew; 9 letters take the lazy lists
-    built = []
+    # calls share it and list no letters anew
+    calls, handed = [], []
 
-    class Recording(search._LetterLists):
-        def __init__(self, width):
-            built.append(width)
-            super().__init__(width)
+    def recording_list(mask, width):
+        calls.append(width)
+        return list_letters(mask, width)
 
-    monkeypatch.setattr(search, "_LetterLists", Recording)
-    tables = {width: search._letter_lists(width) for width in (2, 6)}
+    def recording_lists(width):
+        handed.append(letter_lists(width))
+        return handed[-1]
+
+    monkeypatch.setattr(search, "_list_letters", recording_list)
+    monkeypatch.setattr(search, "_letter_lists", recording_lists)
+    tables = {width: letter_lists(width) for width in (2, 6)}
     shortest_careful_word(gen_cerny(8))
     reachable_subset_count(gen_grid(2, 3))
     forced_path_check(gen_grid(2, 3), grid_word(2, 3))
-    assert built == []
-    assert all(search._letter_lists(width) is table for width, table in tables.items())
-    assert type(search._letter_lists(9)) is Recording and built == [9]
-    reachable_subset_count(gen_random(5, 9, 0.8, 0))
-    assert built == [9, 9]
+    assert calls == [] and list(map(id, handed)) == [id(tables[2]), id(tables[6]), id(tables[6])]
+    assert all(letter_lists(width) is table for width, table in tables.items())
+    # beyond 8 letters each search and walk gets a fresh, exact dict that it
+    # fills as it meets masks, listing each mask once
+    handed.clear()
+    wide = [gen_random(5, 9, 0.8, 0), gen_random(5, 9, 0.8, 0), gen_random(4, 28, 0.8, 1),
+            gen_random(4, 300, 0.7, 2)]
+    for pfa in wide:
+        reachable_subset_count(pfa)
+    found = shortest_careful_word(gen_grid(2, 5))
+    forced_path_check(gen_grid(2, 5), found.word)
+    widths = [9, 9, 28, 300, 10, 10]
+    assert len({id(lists) for lists in handed}) == len(handed) == len(widths)
+    for lists, width in zip(handed, widths):
+        assert type(lists) is dict and lists
+        assert all(listed == list_letters(mask, width) for mask, listed in lists.items())
+    assert calls == [width for lists, width in zip(handed, widths) for _ in lists]
+
+
+def test_search_subclasses_no_builtin_container():
+    # CPython 3.11 specialises subscripts only on exact dict, list and tuple,
+    # so the search module keeps no subclass of a container on its hot path
+    tree = ast.parse(Path(search.__file__).read_text())
+    containers = {"dict", "list", "tuple", "set", "frozenset", "bytearray"}
+    containers |= {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "collections"
+                   for alias in node.names}
+    bases = [(node.name, ast.unparse(base)) for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) for base in node.bases]
+    assert bases and not [(name, base) for name, base in bases
+                          if base in containers or base.startswith("collections.")]
 
 
 def test_searches_and_forced_walk_match_references_at_8_and_9_letters():
