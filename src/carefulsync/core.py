@@ -184,9 +184,11 @@ def is_careful_sync_word(pfa: Pfa, word: Sequence[int]) -> tuple[bool, int | Non
 def total_merging_letter(pfa: Pfa) -> int | None:
     """First letter defined on every state that merges two distinct states.
 
-    Every carefully synchronizing PFA with at least two states has such a
-    letter, so there ``None`` is a cheap "cannot synchronize" preflight (the
-    converse does not hold).  A one-state PFA has none, yet the empty word
+    Without one, every letter defined on every state permutes the states,
+    so a full set of two or more states reaches only itself: every
+    carefully synchronizing PFA with at least two states has such a letter,
+    and ``None`` is a cheap "cannot synchronize" preflight (the converse
+    does not hold).  A one-state PFA has none, yet the empty word
     synchronizes it.
     """
     n = pfa.n

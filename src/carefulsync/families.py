@@ -223,6 +223,19 @@ def check_table_size(what: str, states: int, letters: int) -> None:
                          f"(states times letters), over the limit of {MAX_TABLE_ENTRIES}")
 
 
+# A document's text may hold 32 characters per table entry: ``gen`` writes at
+# most 27.2 at the table bound (cerny:n=524288, one target per indented line
+# and a name per state).
+MAX_DOCUMENT_CHARS = 32 * MAX_TABLE_ENTRIES
+
+
+def check_document_size(chars: int) -> None:
+    """Raise ValueError when a document text of ``chars`` characters is
+    longer than MAX_DOCUMENT_CHARS, before it is parsed."""
+    if chars > MAX_DOCUMENT_CHARS:
+        raise ValueError(f"document has {chars} characters, over the limit of {MAX_DOCUMENT_CHARS}")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Parsed family-instance description with a canonical string form.

@@ -12,7 +12,7 @@ import json
 from collections import defaultdict
 
 from .core import Pfa, validate
-from .families import check_table_size
+from .families import check_document_size, check_table_size
 
 FORMAT_VERSION = 1
 
@@ -46,11 +46,17 @@ def automaton_to_json(pfa: Pfa, family: str | None = None) -> str:
 def load_document(text: str) -> tuple[Pfa, str | None]:
     """Parse a document; returns the automaton and its metadata string.
 
-    Text that ``json.loads`` refuses raises ParseError, and so does a table
-    over :func:`~carefulsync.families.check_table_size`'s bound, before its
-    rows are read.  Row lengths and targets are left to
+    ParseError is raised for a text over
+    :func:`~carefulsync.families.check_document_size`'s bound, before it is
+    parsed; for text that ``json.loads`` refuses; and for a table over
+    :func:`~carefulsync.families.check_table_size`'s bound, before its rows
+    are read.  Row lengths and targets are left to
     :func:`~carefulsync.core.validate`, whose diagnostics raise ValidationError.
     """
+    try:
+        check_document_size(len(text))
+    except ValueError as e:
+        raise ParseError(str(e)) from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

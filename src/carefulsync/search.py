@@ -13,12 +13,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
+from itertools import compress, repeat
 from operator import or_
 from typing import AbstractSet, Sequence
 
 from . import words
-from .core import Pfa, image
+from .core import Pfa, image, total_merging_letter
 
 DEFAULT_MAX_SUBSETS = 1 << 24
 
@@ -164,7 +164,7 @@ def _rebuild(parent: Sequence[int], width: int) -> tuple[int, ...]:
 
 
 def _bfs(
-    pfa: Pfa, start: int, goals: AbstractSet[int], max_subsets: int
+    pfa: Pfa, start: int, goals: AbstractSet[int] | None, max_subsets: int
 ) -> tuple[tuple[int, ...] | None, int | None, int]:
     """Breadth-first search over the power automaton from ``start``.
 
@@ -179,7 +179,7 @@ def _bfs(
     before expanding a level whose subsets need more than
     :data:`~carefulsync.words.MAX_WORD_LEN` letters; and ValueError for a negative
     ``max_subsets`` or a ``start`` that is not a nonempty subset of the
-    states.
+    states.  ``goals`` None means the singletons, from the full set.
     """
     if max_subsets < 0:
         raise ValueError(f"subset budget {max_subsets} is negative")
@@ -188,14 +188,18 @@ def _bfs(
         raise ValueError(f"start set {start:#x} must be a nonempty subset of {n} states")
     if not max_subsets:
         raise CapExceeded(1)
+    if goals is None:  # with no total merging letter, a full set of 2+ states reaches only itself
+        goals = {1 << q for q in range(n)} if total_merging_letter(pfa) is not None else {1}
     if start in goals:
         return (), start, 1
+    # One pass over the start's rows (bit 0 is bin()'s last digit) reads only
+    # definedness: compile_letters raises a bad target, a short row IndexError.
     width = len(pfa.letters)
-    try:  # no letter is defined on the start, so only the start is reachable
-        if all(image(pfa, a, start) is None for a in range(width)):
+    live = range(width)
+    for row in compress(pfa.delta, map("1".__eq__, bin(start)[:1:-1])):
+        live = [a for a in live if row[a] is not None]
+        if not live:  # no letter is defined on the start, so only the start is reachable
             return None, None, 1
-    except (ValueError, IndexError, TypeError):
-        pass  # a bad table entry: compile_letters raises it, with its own message
     b, (t0, t1, t2, t3), wide = compile_letters(pfa)
     b2, b3, b4, m = 2 * b, 3 * b, 4 * b, (1 << b) - 1
     letters = _letter_lists(width)
@@ -286,12 +290,8 @@ def shortest_careful_word(
     been discovered, the full set included, and before a level whose words
     would pass :data:`~carefulsync.words.MAX_WORD_LEN` letters.
     """
-    # without letters only the full set is reachable, a goal only when n = 1
-    goals = {1 << q for q in range(pfa.n)} if pfa.letters else {1}
-    word, final, visited = _bfs(pfa, pfa.full_set(), goals, max_subsets)
-    if word is None:
-        return None
-    return SearchResult(word, visited, final.bit_length() - 1)
+    word, final, visited = _bfs(pfa, pfa.full_set(), None, max_subsets)
+    return None if word is None else SearchResult(word, visited, final.bit_length() - 1)
 
 
 def reachable_subset_count(pfa: Pfa, *, max_subsets: int = DEFAULT_MAX_SUBSETS) -> int:

@@ -133,6 +133,17 @@ def test_solve_refuses_a_deeply_nested_document(tmp_path, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_solve_refuses_an_oversized_document(tmp_path, capsys):
+    # 38 MiB of text for a one-state table, refused before it is parsed
+    path = tmp_path / "oversized.json"
+    path.write_text('{"format_version":1,"letters":["a"],"states":1,"delta":[['
+                    + "0," * 19_999_999 + "0]]}")
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: document has 40000059 characters, over the limit of 33554432\n"
+    assert captured.out == ""
+
+
 def test_verify_good_word(capsys):
     assert main(["verify", "grid:d=2,k=2", "--word", "a b1 b2 b1 c2"]) == 0
     assert "synchronizes to state q0^1" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from carefulsync import (
     gen_witness,
     load_document,
 )
+from carefulsync.families import MAX_DOCUMENT_CHARS, parse_family
 
 
 def test_round_trip_witness():
@@ -94,6 +96,27 @@ def test_parse_rejects_a_table_over_the_limit_before_its_rows():
     with pytest.raises(ParseError, match="over the limit"):
         load_document(json.dumps({"format_version": 1, "letters": [], "states": 2**20 + 1,
                                   "delta": None}))
+
+
+def test_parse_refuses_an_oversized_text_before_json_loads():
+    # a one-state, one-letter header over a 20,000,000-entry row: 38 MiB
+    text = '{"format_version":1,"letters":["a"],"states":1,"delta":[[' + "0," * 19_999_999 + "0]]}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            load_document(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "document has 40000059 characters, over the limit of 33554432"
+    assert peak < 3 * len(text)
+
+
+def test_the_longest_gen_document_at_the_table_bound_fits_the_text_bound():
+    # one target per indented line and a name per state: 27.2 characters per entry
+    spec = parse_family("cerny:n=524288")
+    longest = len(automaton_to_json(spec.build(), family=spec.to_string()))
+    assert longest == 28502667 < MAX_DOCUMENT_CHARS
 
 
 @pytest.mark.parametrize("field, value, message", [

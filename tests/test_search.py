@@ -493,10 +493,17 @@ def test_reachable_count_witness():
 
 
 def test_not_sync_iff_no_singleton_reachable():
-    # two-state automaton whose reachable power-set nodes are all doubletons
-    pfa = Pfa(("a", "b"), ((1, 1), (0, 0)))
-    assert shortest_careful_word(pfa) is None
-    assert reachable_subset_count(pfa) == 1  # {0,1} only maps to itself
+    # every total letter permutes the states, and the others, where there
+    # are any, merge but are undefined somewhere: the full set only maps to
+    # itself
+    for pfa in (Pfa(("a", "b"), ((1, 1), (0, 0))), Pfa(("a", "b"), ((1, None), (0, 0))),
+                Pfa(("a", "b", "c"), ((1, 0, None), (2, None, 0), (0, 0, 1))),
+                Pfa(("a", "b"), ((None, 1), (0, 2), (1, 0)))):
+        assert total_merging_letter(pfa) is None
+        levels, word = _naive_bfs(pfa)
+        assert word is None and len(levels) == 1
+        assert shortest_careful_word(pfa) is None
+        assert reachable_subset_count(pfa) == 1
 
 
 def test_search_from_a_start_without_letters_compiles_nothing(monkeypatch):
@@ -524,6 +531,13 @@ def test_dead_start_check_leaves_a_bad_entry_to_compile_letters():
             with pytest.raises(err) as info:
                 f(pfa)
             assert str(info.value) == msg
+        # a bad budget is refused before any entry is read, goals included
+        for f in (shortest_careful_word, reachable_subset_count):
+            with pytest.raises(ValueError, match="^subset budget -1 is negative$"):
+                f(pfa, max_subsets=-1)
+            with pytest.raises(CapExceeded) as info:
+                f(pfa, max_subsets=0)
+            assert type(info.value) is CapExceeded and info.value.visited == 1
 
 
 def test_letterless_search_does_no_work_per_state():
@@ -540,8 +554,22 @@ def test_letterless_search_does_no_work_per_state():
         tracemalloc.stop()
     assert found is None and count == 1
     assert peak < 4 << 20
+    # nor with letters, none defined on every state: without a total merging
+    # letter the singleton goals (about 277 MiB here) are never built
+    wide = gen_random(1 << 16, 16, 0.5, 1)
+    assert total_merging_letter(wide) is None
+    tracemalloc.start()
+    try:
+        found = shortest_careful_word(wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is None and peak < 8 << 20
     one = Pfa((), ((),))
-    assert shortest_careful_word(one) == search.SearchResult((), 1, 0)
+    for p in (one, Pfa(("a",), ((None,),)), Pfa(("a", "b"), ((0, None),))):
+        # one state is its own singleton, though no letter merges two states
+        assert total_merging_letter(p) is None
+        assert shortest_careful_word(p) == search.SearchResult((), 1, 0)
     for p in (pfa, one):
         with pytest.raises(ValueError):
             shortest_careful_word(p, max_subsets=-1)
@@ -808,6 +836,16 @@ def test_search_subclasses_no_builtin_container():
              if isinstance(node, ast.ClassDef) for base in node.bases]
     assert bases and not [(name, base) for name, base in bases
                           if base in containers or base.startswith("collections.")]
+
+
+def test_search_catches_only_the_letter_lists_key_error():
+    # the start rule reads only whether entries are defined, and a bad entry
+    # raises from compile_letters: no handler in the search module may
+    # swallow the errors of a bad table
+    tree = ast.parse(Path(search.__file__).read_text())
+    caught = [ast.unparse(node.type) for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler)]
+    assert caught == ["KeyError", "KeyError"]  # the BFS's and the forced walk's letter lists
 
 
 def test_searches_and_forced_walk_match_references_at_8_and_9_letters():
