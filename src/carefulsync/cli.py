@@ -13,6 +13,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import families
 from .core import Pfa, format_state_set, is_careful_sync_word, run_word
 from .families import FamilySpec, parse_family
 from .io import ParseError, automaton_to_json, export_dot, load_document
@@ -40,7 +41,8 @@ def _load_automaton(target: str) -> tuple[Pfa, FamilySpec | None]:
     looks_like_path = os.path.exists(target) or os.sep in target or target.endswith(".json")
     if looks_like_path:
         try:
-            text = Path(target).read_text()
+            with open(target) as f:  # one character past the bound is enough to refuse
+                text = f.read(families.MAX_DOCUMENT_CHARS + 1)
         except OSError as e:
             raise ParseError(f"cannot read {target}: {e}") from None
         pfa, metadata = load_document(text)

@@ -14,6 +14,7 @@ subset), which keeps subset images cheap inside power-automaton loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 
@@ -181,6 +182,20 @@ def is_careful_sync_word(pfa: Pfa, word: Sequence[int]) -> tuple[bool, int | Non
     return True, res.final.bit_length() - 1
 
 
+def defined_letters(pfa: Pfa, s: int) -> list[int]:
+    """The letters defined on every state of ``s``, in ascending order: the one
+    rule for which letters a subset steps by, read before any table is compiled.
+
+    Only definedness is read, stopping once no letter is left, so a short row
+    raises IndexError and a bad target is left to whatever reads it next."""
+    live = list(range(len(pfa.letters)))
+    for row in compress(pfa.delta, map("1".__eq__, bin(s)[:1:-1])):  # bit 0 is bin()'s last
+        live = [a for a in live if row[a] is not None]
+        if not live:
+            break
+    return live
+
+
 def total_merging_letter(pfa: Pfa) -> int | None:
     """First letter defined on every state that merges two distinct states.
 
@@ -191,9 +206,7 @@ def total_merging_letter(pfa: Pfa) -> int | None:
     does not hold).  A one-state PFA has none, yet the empty word
     synchronizes it.
     """
-    n = pfa.n
-    for a in range(len(pfa.letters)):
-        targets = [pfa.delta[q][a] for q in range(n)]
-        if None not in targets and len(set(targets)) < n:
+    for a in defined_letters(pfa, pfa.full_set()):
+        if len({row[a] for row in pfa.delta}) < pfa.n:
             return a
     return None

@@ -233,7 +233,7 @@ def check_document_size(chars: int) -> None:
     """Raise ValueError when a document text of ``chars`` characters is
     longer than MAX_DOCUMENT_CHARS, before it is parsed."""
     if chars > MAX_DOCUMENT_CHARS:
-        raise ValueError(f"document has {chars} characters, over the limit of {MAX_DOCUMENT_CHARS}")
+        raise ValueError(f"document has more than {MAX_DOCUMENT_CHARS} characters")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .core import (
     Pfa,
+    defined_letters,
     format_state_set,
     is_careful_sync_word,
     run_word,
@@ -199,9 +200,7 @@ def check_battery(
     else:
         detail = "no total merging letter, cannot carefully synchronize"
     results.append(CheckResult("merging-letter", merge is not None or pfa.n == 1, detail))
-    for a, name in enumerate(pfa.letters):
-        if any(pfa.delta[q][a] is None for q in range(pfa.n)):
-            continue
+    for a in defined_letters(pfa, pfa.full_set()):
         class_of = kernel_partition(pfa, a)
         preserving = [
             pfa.letters[b]
@@ -210,7 +209,7 @@ def check_battery(
         ]
         results.append(
             CheckResult(
-                f"kernel({name})",
+                f"kernel({pfa.letters[a]})",
                 True,
                 f"{max(class_of) + 1} classes; "
                 f"preserving letters: {', '.join(preserving) or 'none'}",

@@ -13,12 +13,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, repeat
+from itertools import repeat
 from operator import or_
 from typing import AbstractSet, Sequence
 
 from . import words
-from .core import Pfa, image, total_merging_letter
+from .core import Pfa, defined_letters, image, total_merging_letter
 
 DEFAULT_MAX_SUBSETS = 1 << 24
 
@@ -192,14 +192,9 @@ def _bfs(
         goals = {1 << q for q in range(n)} if total_merging_letter(pfa) is not None else {1}
     if start in goals:
         return (), start, 1
-    # One pass over the start's rows (bit 0 is bin()'s last digit) reads only
-    # definedness: compile_letters raises a bad target, a short row IndexError.
+    if not defined_letters(pfa, start):  # no letter leaves the start, the one subset reached
+        return None, None, 1
     width = len(pfa.letters)
-    live = range(width)
-    for row in compress(pfa.delta, map("1".__eq__, bin(start)[:1:-1])):
-        live = [a for a in live if row[a] is not None]
-        if not live:  # no letter is defined on the start, so only the start is reachable
-            return None, None, 1
     b, (t0, t1, t2, t3), wide = compile_letters(pfa)
     b2, b3, b4, m = 2 * b, 3 * b, 4 * b, (1 << b) - 1
     letters = _letter_lists(width)
@@ -404,36 +399,32 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
     width = range(last)
     if not word:  # a walk that reads no letter compiles no table
         return pfa.full_set(), None
-    if word[0] not in width:
-        raise ValueError(f"letter index {word[0]} out of range")
-    b, (t0, t1, t2, t3), wide = compile_letters(pfa)
-    b2, b3, m = 2 * b, 3 * b, (1 << b) - 1
-    letters = _letter_lists(last)
-    # Subsets on the path so far.  Past the first unforced step, once
-    # ``step`` is set, the walk only applies the word.
-    seen = set()
-    cur, step = pfa.full_set(), None
-    for pos, letter in enumerate(word):
-        # The letters defined on ``cur`` and its chunk rows, unrolled over
-        # the first four chunks as in the kernel; a wide chunk row is kept only
-        # when ``cur`` has a state in it.
-        r0, r1, r2, r3 = t0[cur & m], t1[cur >> b & m], t2[cur >> b2 & m], t3[cur >> b3 & m]
-        defined = r0[last] & r1[last] & r2[last] & r3[last]
-        rows = []
-        for tab, shift in wide:  # states 32 and up; empty when n <= 32
-            c = cur >> shift & m
-            if c:
-                row = tab[c]
-                defined &= row[last]
-                rows.append(row)
-        nxt = None
-        if step is None:
-            seen.add(cur)
-            off = 0
+    # The subsets on the path up to the first unforced step, at ``pos``: a first
+    # letter outside the alphabet or undefined on the full set compiles no table.
+    cur, pos = pfa.full_set(), 0
+    seen = {cur}
+    if word[0] in defined_letters(pfa, cur):
+        b, (t0, t1, t2, t3), wide = compile_letters(pfa)
+        b2, b3, m = 2 * b, 3 * b, (1 << b) - 1
+        letters = _letter_lists(last)
+        for pos, letter in enumerate(word):
+            # The letters defined on ``cur`` and its chunk rows, unrolled over
+            # the first four chunks as in the kernel; a wide chunk row is kept
+            # only when ``cur`` has a state in it.
+            r0, r1, r2, r3 = t0[cur & m], t1[cur >> b & m], t2[cur >> b2 & m], t3[cur >> b3 & m]
+            defined = r0[last] & r1[last] & r2[last] & r3[last]
+            rows = []
+            for tab, shift in wide:  # states 32 and up; empty when n <= 32
+                c = cur >> shift & m
+                if c:
+                    row = tab[c]
+                    defined &= row[last]
+                    rows.append(row)
             try:
                 listed = letters[defined]
             except KeyError:
                 listed = letters[defined] = _list_letters(defined, last)
+            nxt, off = None, 0
             for a in listed:
                 t = r0[a] | r1[a] | r2[a] | r3[a]
                 if rows:
@@ -443,22 +434,31 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
                     nxt = t
                 if t not in seen:
                     off += 1
-            if off == 1 and nxt is not None and nxt not in seen and cur.bit_count() > 1:
-                cur = nxt
-                continue
-        if letter not in width:  # never defined, so a forced step checks it only here
+            if off != 1 or nxt is None or nxt in seen or cur.bit_count() < 2:
+                break
+            cur = nxt
+            seen.add(cur)
+        else:
+            return cur, None
+    letter = word[pos]
+    if letter not in width:  # never defined, so the forced prefix leaves it to here
+        raise ValueError(f"letter index {letter} out of range")
+    out = [image(pfa, a, cur) for a in width]
+    step = ForcedStep(pos, cur,
+                      tuple(a for a in width if out[a] is not None and out[a] not in seen),
+                      tuple(a for a in width if out[a] is None),
+                      tuple(a for a in width if out[a] in seen))
+    cur = out[letter]
+    if cur is None:
+        return None, step
+    for letter in word[pos + 1:]:  # only the -1 mark says a letter is undefined
+        if letter not in width:
             raise ValueError(f"letter index {letter} out of range")
-        if step is None:
-            out = [image(pfa, a, cur) for a in width]
-            step = ForcedStep(pos, cur,
-                              tuple(a for a in width if out[a] is not None and out[a] not in seen),
-                              tuple(a for a in width if out[a] is None),
-                              tuple(a for a in width if out[a] in seen))
-        elif defined >> letter & 1:
-            nxt = r0[letter] | r1[letter] | r2[letter] | r3[letter]
-            for row in rows:
-                nxt |= row[letter]
-        if nxt is None:
+        nxt = (t0[cur & m][letter] | t1[cur >> b & m][letter] | t2[cur >> b2 & m][letter]
+               | t3[cur >> b3 & m][letter])
+        for tab, shift in wide:  # an unoccupied chunk's row maps every letter to 0
+            nxt |= tab[cur >> shift & m][letter]
+        if nxt < 0:
             return None, step
         cur = nxt
     return cur, step

@@ -3,11 +3,11 @@ import json
 
 import pytest
 
-from carefulsync import cli, words
+from carefulsync import cli, families, words
 from carefulsync.cli import _build_parser, main
 from carefulsync.core import Pfa
 from carefulsync.families import FamilySpec, gen_grid, gen_witness
-from carefulsync.io import automaton_to_json
+from carefulsync.io import automaton_to_json, load_document
 
 
 def test_gen_to_stdout(capsys):
@@ -140,8 +140,26 @@ def test_solve_refuses_an_oversized_document(tmp_path, capsys):
                     + "0," * 19_999_999 + "0]]}")
     assert main(["solve", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: document has 40000059 characters, over the limit of 33554432\n"
+    assert captured.err == "error: document has more than 33554432 characters\n"
     assert captured.out == ""
+
+
+def test_solve_reads_at_most_one_character_past_the_document_bound(tmp_path, monkeypatch, capsys):
+    # the bound is read when the file is: a 100 KB file under a bound of
+    # 1,000 costs one bound of text, not the whole file
+    path = tmp_path / "long.json"
+    path.write_text(" " * 100_000)
+    monkeypatch.setattr(families, "MAX_DOCUMENT_CHARS", 1000)
+    received = []
+
+    def record(text):
+        received.append(len(text))
+        return load_document(text)
+
+    monkeypatch.setattr(cli, "load_document", record)
+    assert main(["solve", str(path)]) == 2
+    assert received == [1001]
+    assert capsys.readouterr().err == "error: document has more than 1000 characters\n"
 
 
 def test_verify_good_word(capsys):

@@ -27,7 +27,7 @@ from carefulsync import (
     validate,
 )
 from carefulsync.cli import main
-from carefulsync.core import image
+from carefulsync.core import defined_letters, image
 from carefulsync.search import compile_letters
 
 WITNESS_DELTA = (
@@ -240,6 +240,31 @@ def test_total_merging_letter():
     assert total_merging_letter(gen_witness()) == 0
     identity = Pfa(("a", "b"), ((0, 0), (1, 1)))
     assert total_merging_letter(identity) is None
+
+
+def test_defined_letters_matches_the_naive_definition():
+    # seeded random tables over seeded subsets, with one-state, letterless
+    # and permutation-only tables: a letter is listed when no member's entry
+    # for it is None
+    rng = random.Random(28)
+    pfas = [gen_random(rng.randint(1, 40), rng.randint(1, 12), rng.choice((0.5, 0.9, 1.0)), seed)
+            for seed in range(40)]
+    pfas += [Pfa(("a", "b"), ((None, 0),)), Pfa(("a",), ((0,),)), Pfa((), ((),) * 5),
+             Pfa(("a", "b"), ((1, 0), (2, 2), (0, 1))), gen_cerny(5)]
+    sizes = set()
+    for pfa in pfas:
+        width = len(pfa.letters)
+        subsets = {pfa.full_set(), 1 << pfa.n - 1} | {rng.getrandbits(pfa.n) or 1 for _ in range(20)}
+        for s in subsets:
+            listed = defined_letters(pfa, s)
+            assert listed == [a for a in range(width)
+                              if all(pfa.delta[q][a] is not None for q in states_from_bits(s))]
+            sizes.add("none" if not listed else "all" if len(listed) == width else "some")
+    assert sizes == {"none", "some", "all"}
+    # the pass stops once no letter is left: row 1 is never read
+    assert defined_letters(Pfa(("a", "b"), ((None, None), ())), 0b11) == []
+    with pytest.raises(IndexError):
+        defined_letters(Pfa(("a", "b"), ((None, 0), ())), 0b11)
 
 
 def test_format_state_set():

@@ -28,6 +28,7 @@ from carefulsync import (
     grid_word,
     is_careful_sync_word,
     reachable_subset_count,
+    reporting,
     run_word,
     search,
     shortest_careful_word,
@@ -366,6 +367,28 @@ def test_forced_path_compiles_no_table_for_a_walk_that_reads_none():
     assert peak < 1 << 20
 
 
+def test_forced_path_compiles_nothing_when_its_first_letter_is_undefined(monkeypatch):
+    # an unvalidated table: a is undefined on state 0, and b leads both
+    # states to 0; row 1's 9 is read only by compile_letters, which a walk
+    # whose first letter is b still needs
+    bad = Pfa(("a", "b"), ((None, 0), (9, 0)))
+    with pytest.raises(ValueError, match="^delta row 1 has a target outside 2 states$"):
+        forced_path_check(bad, (1,))
+
+    def _fail(pfa):
+        raise AssertionError("compiled the chunk tables")
+
+    monkeypatch.setattr(search, "compile_letters", _fail)
+    assert forced_path_check(bad, (0,)) == (
+        None, ForcedStep(0, 0b11, new_letters=(1,), undefined_letters=(0,), visited_letters=()))
+    # no letter is defined on all 16,384 states: the chunk tables would take
+    # about 670 MiB
+    pfa = gen_random(16384, 8, 0.5, 1)
+    assert forced_path_check(pfa, (0,)) == (
+        None, ForcedStep(0, pfa.full_set(), new_letters=(), undefined_letters=tuple(range(8)),
+                         visited_letters=()))
+
+
 def test_forced_path_builds_at_most_one_step(monkeypatch):
     built = []
 
@@ -431,12 +454,13 @@ def test_forced_path_matches_the_two_pass_definition():
               (g, (3,) + word), (g, word[:2] + (5, 3) + word[2:]),
               (g, word[:2] + (3,) + word[2:]), (g, ())]
     # wide grids (34 and 33 states): the builder words, with and without a
-    # looping first a, and a letter outside the alphabet right after a
-    # forced prefix and right after an unforced step
+    # looping first a or a first b1, which is undefined on the full set, and
+    # a letter outside the alphabet right after a forced prefix and right
+    # after an unforced step
     for d, k in ((17, 2), (11, 3)):
         w, ww = gen_grid(d, k), grid_word(d, k)
         bad = len(w.letters)
-        cases += [(w, ww), (w, ww[:1] + ww), (w, ww[:5] + (bad,) + ww[5:]),
+        cases += [(w, ww), (w, ww[:1] + ww), (w, (1,) + ww), (w, ww[:5] + (bad,) + ww[5:]),
                   (w, ww[:5] + (-1,)), (w, ww[:2] + (-1,) + ww[2:]),
                   (w, ww[:1] + ww[:1] + (-1,) + ww[1:]), (w, ww[:1] + ww[:9] + (bad,))]
     # a copy of a letter: where the word's letter leads somewhere new, so
@@ -475,6 +499,8 @@ def test_forced_path_matches_the_two_pass_definition():
         final, step = expect
         outcomes.add("undefined" if final is None else "defined")
         outcomes.add(type(step))
+        if run_word(pfa, pfa.full_set(), word[:1]).final is None:
+            outcomes.add("first letter undefined")
         if step is not None:
             if pfa.n > 32:
                 outcomes.add("wide")
@@ -484,7 +510,7 @@ def test_forced_path_matches_the_two_pass_definition():
             if len(set(new)) < len(new):
                 outcomes.add("two letters, one new subset")
     assert outcomes == {type(None), ForcedStep, "letter", "defined", "undefined", "wide",
-                        "singleton", "two letters, one new subset"}
+                        "singleton", "two letters, one new subset", "first letter undefined"}
 
 
 def test_reachable_count_witness():
@@ -846,6 +872,26 @@ def test_search_catches_only_the_letter_lists_key_error():
     caught = [ast.unparse(node.type) for node in ast.walk(tree)
               if isinstance(node, ast.ExceptHandler)]
     assert caught == ["KeyError", "KeyError"]  # the BFS's and the forced walk's letter lists
+
+
+def test_definedness_is_read_before_any_table_is_compiled():
+    # core.defined_letters is the one rule for the letters defined on every
+    # state of a subset: the BFS and the forced walk read it before they
+    # compile a table, and the check battery reads no transition table
+    tree = ast.parse(Path(search.__file__).read_text())
+    order = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in ("_bfs", "forced_path_check"):
+            calls = sorted((call.lineno, call.col_offset, call.func.id) for call in ast.walk(node)
+                           if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                           and call.func.id in ("defined_letters", "compile_letters"))
+            order[node.name] = [name for *_, name in calls]
+    assert sorted(order) == ["_bfs", "forced_path_check"]
+    for calls in order.values():
+        assert calls[0] == "defined_letters" and "compile_letters" in calls
+    tree = ast.parse(Path(reporting.__file__).read_text())
+    assert not [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "delta"]
 
 
 def test_searches_and_forced_walk_match_references_at_8_and_9_letters():
