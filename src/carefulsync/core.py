@@ -13,30 +13,40 @@ subset), which keeps subset images cheap inside power-automaton loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class Pfa:
-    """A partial finite automaton over named letters.
-
-    ``delta[state][letter]`` is the target state index or ``None`` when the
-    transition is undefined.  Instances are immutable values; construction
-    does not validate (use :func:`validate`), so ill-formed tables can be
-    built and diagnosed.
-    """
-
+# A NamedTuple class may not define __new__, so Pfa normalises its input in
+# a subclass of its fields.
+class _PfaFields(NamedTuple):
     letters: tuple[str, ...]
     delta: tuple[tuple[int | None, ...], ...]
     state_names: tuple[str, ...] | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
-        if self.state_names is not None:
-            object.__setattr__(self, "state_names", tuple(self.state_names))
+
+class Pfa(_PfaFields):
+    """A partial finite automaton over named letters.
+
+    ``delta[state][letter]`` is the target state index or ``None`` when the
+    transition is undefined.  Instances are immutable values; construction
+    turns the letters, the table rows and the state names into tuples but
+    does not validate (use :func:`validate`), so ill-formed tables can be
+    built and diagnosed.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        letters: tuple[str, ...],
+        delta: tuple[tuple[int | None, ...], ...],
+        state_names: tuple[str, ...] | None = None,
+    ) -> Pfa:
+        return super().__new__(
+            cls, tuple(letters), tuple(tuple(row) for row in delta),
+            None if state_names is None else tuple(state_names),
+        )
 
     @property
     def n(self) -> int:
@@ -134,8 +144,7 @@ def image(pfa: Pfa, letter: int, s: int) -> int | None:
     return out
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Outcome of folding a word over a state subset.
 
     ``trace`` starts with the initial subset and records the image after

@@ -11,8 +11,6 @@ counting words in :mod:`carefulsync.words` increment.
 from __future__ import annotations
 
 import random
-import string
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .core import Pfa
@@ -151,9 +149,7 @@ def gen_random(n: int, letter_count: int, density: float, seed: int) -> Pfa:
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be within [0, 1]")
     rng = random.Random(seed)
-    letters = tuple(
-        string.ascii_lowercase[a] if a < 26 else f"x{a}" for a in range(letter_count)
-    )
+    letters = tuple(chr(ord("a") + a) if a < 26 else f"x{a}" for a in range(letter_count))
     table = []
     for _ in range(n):
         row = []
@@ -236,8 +232,7 @@ def check_document_size(chars: int) -> None:
         raise ValueError(f"document has more than {MAX_DOCUMENT_CHARS} characters")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Parsed family-instance description with a canonical string form.
 
     Kinds and their parameters:

@@ -10,8 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Pfa,
@@ -61,8 +60,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One solved instance: search outcome next to builder and claimed lengths."""
 
     spec: str
@@ -159,8 +157,7 @@ def _walk(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, ForcedStep | None]
     return final.bit_length() - 1, step
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

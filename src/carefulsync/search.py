@@ -11,11 +11,10 @@ small sizes.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 from operator import or_
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, NamedTuple, Sequence
 
 from . import words
 from .core import Pfa, defined_letters, image, total_merging_letter
@@ -52,8 +51,7 @@ class _WordBudgetExceeded(CapExceeded):
         self.visited = visited
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """A shortest carefully synchronizing word found by BFS.
 
     ``word`` is lexicographically least (by letter index) among all words
@@ -363,8 +361,7 @@ def brute_force_shortest(
     return None
 
 
-@dataclass(frozen=True)
-class ForcedStep:
+class ForcedStep(NamedTuple):
     """Letter classification at one position along a word's subset trace."""
 
     position: int

@@ -10,8 +10,7 @@ base word lifts to a careful word for the expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import Pfa, is_careful_sync_word, run_word, states_from_bits
 from .families import check_table_size, expand, gen_cerny
@@ -96,8 +95,7 @@ def lift_word(d: int, base: Pfa, base_word: Sequence[int]) -> tuple[int, ...]:
     return tuple(word)
 
 
-@dataclass(frozen=True)
-class LiftedCernyMeasurement:
+class LiftedCernyMeasurement(NamedTuple):
     """Measured size of the lifted reset word for an expanded cyclic DFA.
 
     ``lower_bound_ok`` records whether the lifted length clears the d^n

@@ -203,6 +203,11 @@ def test_random_determinism():
     assert a.delta != c.delta
 
 
+def test_random_letter_names_run_past_z():
+    letters = gen_random(2, 28, 0.5, 1).letters
+    assert letters == (*"abcdefghijklmnopqrstuvwxyz", "x26", "x27")
+
+
 def test_random_density_extremes():
     total = gen_random(5, 2, 1.0, 7)
     assert all(None not in row for row in total.delta)

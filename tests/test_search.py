@@ -864,6 +864,21 @@ def test_search_subclasses_no_builtin_container():
                           if base in containers or base.startswith("collections.")]
 
 
+def test_no_module_imports_dataclasses_or_string():
+    # importing either costs milliseconds that every CLI command pays at
+    # start-up: dataclasses loads inspect and compiles each record's methods,
+    # string compiles a regex for string.Template
+    imported = []
+    for path in sorted(Path(search.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name.partition(".")[0]) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.append((path.name, node.module.partition(".")[0]))
+    assert ("search.py", "typing") in imported
+    assert not [(name, module) for name, module in imported
+                if module in ("dataclasses", "string")]
+
 def test_search_catches_only_the_letter_lists_key_error():
     # the start rule reads only whether entries are defined, and a bad entry
     # raises from compile_letters: no handler in the search module may
