@@ -8,7 +8,6 @@ string carrying a family spec.  Round-trips are lossless.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 
 from .core import Pfa, validate
@@ -30,6 +29,8 @@ class ValidationError(ValueError):
 
 
 def automaton_to_json(pfa: Pfa, family: str | None = None) -> str:
+    import json  # deferred: importing the package or the CLI loads no JSON codec
+
     doc = {
         "format_version": FORMAT_VERSION,
         "letters": list(pfa.letters),
@@ -57,6 +58,8 @@ def load_document(text: str) -> tuple[Pfa, str | None]:
         check_document_size(len(text))
     except ValueError as e:
         raise ParseError(str(e)) from None
+    import json
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

@@ -7,7 +7,6 @@ measured but left out of the CSV unless explicitly requested.
 
 from __future__ import annotations
 
-import csv
 import io
 import time
 from typing import NamedTuple, Sequence
@@ -131,6 +130,8 @@ def sweep_csv(rows: Sequence[SweepRow], include_timings: bool = False) -> str:
     ``include_timings`` is set, keeping the default output byte-identical
     across runs.
     """
+    import csv  # deferred: importing the package or the CLI loads no CSV module
+
     buf = io.StringIO()
     buf.write(CSV_FORMAT_COMMENT + "\n")
     writer = csv.writer(buf, lineterminator="\n")

@@ -404,37 +404,43 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
         b, (t0, t1, t2, t3), wide = compile_letters(pfa)
         b2, b3, m = 2 * b, 3 * b, (1 << b) - 1
         letters = _letter_lists(last)
+        rows = ()  # the occupied wide chunks' rows: states 32 and up, none when n <= 32
         for pos, letter in enumerate(word):
             # The letters defined on ``cur`` and its chunk rows, unrolled over
             # the first four chunks as in the kernel; a wide chunk row is kept
             # only when ``cur`` has a state in it.
             r0, r1, r2, r3 = t0[cur & m], t1[cur >> b & m], t2[cur >> b2 & m], t3[cur >> b3 & m]
             defined = r0[last] & r1[last] & r2[last] & r3[last]
-            rows = []
-            for tab, shift in wide:  # states 32 and up; empty when n <= 32
-                c = cur >> shift & m
-                if c:
-                    row = tab[c]
-                    defined &= row[last]
-                    rows.append(row)
+            if wide:
+                rows = []
+                for tab, shift in wide:
+                    c = cur >> shift & m
+                    if c:
+                        row = tab[c]
+                        defined &= row[last]
+                        rows.append(row)
             try:
                 listed = letters[defined]
             except KeyError:
                 listed = letters[defined] = _list_letters(defined, last)
-            nxt, off = None, 0
+            # Each image is tested against ``seen`` once: a new image under
+            # any letter but the word's ends the forced prefix at this step.
+            nxt = None
             for a in listed:
                 t = r0[a] | r1[a] | r2[a] | r3[a]
                 if rows:
                     for row in rows:
                         t |= row[a]
-                if a == letter:
-                    nxt = t
                 if t not in seen:
-                    off += 1
-            if off != 1 or nxt is None or nxt in seen or cur.bit_count() < 2:
-                break
-            cur = nxt
-            seen.add(cur)
+                    if a != letter:
+                        break
+                    nxt = t
+            else:
+                if nxt is not None and cur.bit_count() > 1:
+                    cur = nxt
+                    seen.add(cur)
+                    continue
+            break
         else:
             return cur, None
     letter = word[pos]
@@ -453,8 +459,9 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
             raise ValueError(f"letter index {letter} out of range")
         nxt = (t0[cur & m][letter] | t1[cur >> b & m][letter] | t2[cur >> b2 & m][letter]
                | t3[cur >> b3 & m][letter])
-        for tab, shift in wide:  # an unoccupied chunk's row maps every letter to 0
-            nxt |= tab[cur >> shift & m][letter]
+        if wide:
+            for tab, shift in wide:  # an unoccupied chunk's row maps every letter to 0
+                nxt |= tab[cur >> shift & m][letter]
         if nxt < 0:
             return None, step
         cur = nxt

@@ -121,4 +121,4 @@ def test_import_loads_no_dataclasses_inspect_or_string():
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert {"carefulsync.core", "carefulsync.cli"} <= added
-    assert not added & {"dataclasses", "inspect", "string"}
+    assert not added & {"csv", "dataclasses", "inspect", "json", "string"}

@@ -504,13 +504,20 @@ def test_forced_path_matches_the_two_pass_definition():
         if step is not None:
             if pfa.n > 32:
                 outcomes.add("wide")
-            if step.subset.bit_count() == 1:
-                outcomes.add("singleton")
             new = [image(pfa, a, step.subset) for a in step.new_letters]
             if len(set(new)) < len(new):
                 outcomes.add("two letters, one new subset")
+            # how the word's own letter fails a step from two or more states
+            letter = word[step.position]
+            if step.subset.bit_count() == 1:
+                outcomes.add("singleton")
+            elif letter in step.visited_letters:
+                outcomes.add("back, another letter new" if new else "back, nothing new")
+            elif letter in step.new_letters and len(set(new)) > 1:
+                outcomes.add("two new subsets")
     assert outcomes == {type(None), ForcedStep, "letter", "defined", "undefined", "wide",
-                        "singleton", "two letters, one new subset", "first letter undefined"}
+                        "singleton", "two letters, one new subset", "first letter undefined",
+                        "back, another letter new", "back, nothing new", "two new subsets"}
 
 
 def test_reachable_count_witness():
