@@ -151,16 +151,16 @@ def _cmd_words(args) -> int:
 
 def _cmd_transform(args) -> int:
     base, _ = _load_automaton(args.automaton)
-    auto = transform(args.d, base)
     if args.word is not None:
-        base_word = parse_word(base.letters, args.word)
-        lifted = lift_word(args.d, base, base_word)
+        # the lift checks its d^k floor before the expansion is built
+        lifted = lift_word(args.d, base, parse_word(base.letters, args.word))
+        auto = transform(args.d, base)
         ok, _ = is_careful_sync_word(auto, lifted)
         _emit(f"lifted-word: {format_word(auto.letters, lifted)}\n"
               f"length: {len(lifted)}\n"
               f"verifies: {'yes' if ok else 'no'}\n", args.out)
         return EXIT_OK if ok else EXIT_NOT_SYNC
-    _emit(automaton_to_json(auto), args.out)
+    _emit(automaton_to_json(transform(args.d, base)), args.out)
     return EXIT_OK
 
 

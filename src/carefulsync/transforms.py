@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .core import Pfa, is_careful_sync_word, run_word, states_from_bits
+from .core import Pfa, is_careful_sync_word
 from .families import check_table_size, expand, gen_cerny
-from .words import cerny_alt_word, check_word_budget, counting_word, min_alt_reps
+from .words import _lift, cerny_alt_word, check_word_budget, min_alt_reps
 
 
 def kernel_partition(pfa: Pfa, letter: int) -> tuple[int, ...]:
@@ -76,23 +76,8 @@ def lift_word(d: int, base: Pfa, base_word: Sequence[int]) -> tuple[int, ...]:
     must have at most :data:`~carefulsync.words.MAX_WORD_LEN` letters, else
     ValueError; the d^k floor is checked before the base is simulated.
     """
-    k = base.n
-    _check_lift_floor(d, k)
-    res = run_word(base, base.full_set(), base_word)
-    if res.final is None or res.final.bit_count() != 1:
-        raise ValueError("base word does not carefully synchronize the base automaton")
-    length = d**k + len(base_word) + sum(d ** t.bit_count() - 1 for t in res.trace[1:-1])
-    check_word_budget("lifted word", length)
-    word: list[int] = [0]
-    word.extend(counting_word(d, range(1, k + 1)))
-    last = len(base_word) - 1
-    for pos, letter in enumerate(base_word):
-        word.append(k + 1 + letter)
-        if pos == last:
-            break
-        active = [q + 1 for q in states_from_bits(res.trace[pos + 1])]
-        word.extend(counting_word(d, active))
-    return tuple(word)
+    _check_lift_floor(d, base.n)
+    return _lift(d, base, base_word)
 
 
 class LiftedCernyMeasurement(NamedTuple):

@@ -4,15 +4,16 @@ Words are tuples of letter indices.  The builders that target counter-style
 automata (grids and expanded automata from :mod:`carefulsync.transforms`)
 assume the canonical letter layout ``a``, ``b1..bk``, c-letters; under that
 layout letter ``b_i`` has index ``i``, which is what :func:`counting_word`
-emits.
+emits.  The grid word is the chain word's lift, made by the one lift builder
+that :func:`carefulsync.transforms.lift_word` also calls.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import Pfa, image
-from .families import gen_cerny
+from .core import Pfa, image, run_word, states_from_bits
+from .families import gen_cerny, gen_chain
 
 # The longest word a builder here (or :func:`carefulsync.transforms.lift_word`)
 # builds, and the longest word :func:`parse_word` accepts.  Each builder
@@ -47,18 +48,31 @@ def counting_word(d: int, indices: Iterable[int]) -> tuple[int, ...]:
     return word
 
 
+def _lift(d: int, base: Pfa, base_word: Sequence[int]) -> tuple[int, ...]:
+    # the lift builder, documented at transforms.lift_word
+    k = base.n
+    res = run_word(base, base.full_set(), base_word)
+    if res.final is None or res.final.bit_count() != 1:
+        raise ValueError("base word does not carefully synchronize the base automaton")
+    length = d**k + len(base_word) + sum(d ** t.bit_count() - 1 for t in res.trace[1:-1])
+    check_word_budget("lifted word", length)
+    word = [0, *counting_word(d, range(1, k + 1))]
+    for letter, active in zip(base_word, res.trace[1:-1]):
+        word.append(k + 1 + letter)
+        word.extend(counting_word(d, [q + 1 for q in states_from_bits(active)]))
+    word.extend(k + 1 + letter for letter in base_word[-1:])
+    return tuple(word)
+
+
 def grid_word(d: int, k: int) -> tuple[int, ...]:
     """Carefully synchronizing word for the (d, k) counter grid.
 
-    ``a``, then for i = k down to 2 the odometer over classes 1..i followed
-    by ``c_i``.  Synchronizes to q_0^1.  Length is ``1 + sum(d^i, i=2..k)``.
+    The lift of the chain word c_k .. c_2: ``a``, then for i = k down to 2 the
+    odometer over classes 1..i and ``c_i``.  Synchronizes to q_0^1.  Length
+    is ``1 + sum(d^i, i=2..k)``, checked before the chain is built.
     """
     check_word_budget(f"grid word for d={d}, k={k}", grid_word_length(d, k))
-    word = [0]
-    for i in range(k, 1, -1):
-        word.extend(counting_word(d, range(1, i + 1)))
-        word.append(k + i - 1)
-    return tuple(word)
+    return _lift(d, gen_chain(k), FAMILY_WORDS["chain"][0](k))
 
 
 def grid_word_length(d: int, k: int) -> int:

@@ -339,6 +339,19 @@ def test_transform_lifted_word_over_the_word_budget(capsys):
     assert "1030001 letters" in captured.err
 
 
+def test_transform_lifts_before_it_expands(monkeypatch, capsys):
+    # the lift's 131072^2 opening is refused before a 262,144-state table
+    def _fail(d, base):
+        raise AssertionError("built the expansion")
+
+    monkeypatch.setattr(cli, "transform", _fail)
+    assert main(["transform", "chain:k=2", "--d", "131072", "--word", "c2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the opening of every lifted word for d=131072, k=2 has "
+                            "17179869184 letters, over the budget of 1000000\n")
+
+
 def test_gen_rejects_oversized_family(tmp_path, capsys):
     path = tmp_path / "big.json"
     assert main(["gen", "--family", "random:n=1025,l=1024,p=0.5,seed=1", "--out", str(path)]) == 2

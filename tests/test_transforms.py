@@ -53,13 +53,18 @@ def test_identity_letter_preserves_any_partition():
 
 def test_transform_reproduces_grid():
     # the grid is the chain's d-expansion in its table and in its word: the
-    # chain's word c_k .. c_2 lifts to the grid's builder word
-    for d, k in itertools.product((2, 3, 4), range(2, 7)):
+    # chain's word c_k .. c_2 lifts to the grid's builder word; the letters
+    # differ only in name, the transform's c{l} being the grid's c{l+1}
+    chain_word = words.FAMILY_WORDS["chain"][0]
+    for d, k in itertools.product(range(2, 6), range(2, 7)):
         auto = transform(d, gen_chain(k))
         grid = gen_grid(d, k)
         assert auto.delta == grid.delta
+        assert auto.state_names == grid.state_names
         assert auto.n == d * k
-        assert lift_word(d, gen_chain(k), tuple(range(k - 2, -1, -1))) == grid_word(d, k)
+        renamed = tuple(f"c{int(x[1:]) + 1}" if x[0] == "c" else x for x in auto.letters)
+        assert renamed == grid.letters
+        assert lift_word(d, gen_chain(k), chain_word(k)) == grid_word(d, k)
 
 
 def test_transform_of_cerny_shape():
@@ -201,7 +206,7 @@ def _fail(*args):
 
 def test_lift_word_checks_the_floor_before_it_simulates(monkeypatch):
     # the first odometer alone has 2^30 letters, so the base is never run
-    monkeypatch.setattr(transforms, "run_word", _fail)
+    monkeypatch.setattr(words, "run_word", _fail)
     with pytest.raises(ValueError, match="has 1073741824 letters, over the budget"):
         lift_word(2, gen_cerny(30), cerny_word(30))
 

@@ -21,6 +21,7 @@ from carefulsync import (
     parse_family,
     parse_word,
     run_word,
+    words,
 )
 from carefulsync.words import FAMILY_WORDS, MAX_WORD_LEN
 
@@ -96,6 +97,17 @@ def test_grid_word_within_the_word_budget():
     for build, args in ((grid_word, (2, 19)), (grid_word, (2, 30)), (build_padded, (2, 39))):
         with pytest.raises(ValueError, match="letters, over the budget of 1000000"):
             build(*args)
+
+
+def test_grid_word_checks_its_closed_form_before_it_builds_the_chain(monkeypatch):
+    # 2^31 - 3 letters: no chain is built or run for a word over the budget
+    def _fail(*args):
+        raise AssertionError("called before the budget check")
+
+    monkeypatch.setattr(words, "gen_chain", _fail)
+    monkeypatch.setattr(words, "run_word", _fail)
+    with pytest.raises(ValueError, match="the grid word for d=2, k=30 has 2147483645 letters"):
+        grid_word(2, 30)
 
 
 def test_word_builders_within_the_word_budget():
