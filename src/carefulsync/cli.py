@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import families
-from .core import Pfa, format_state_set, is_careful_sync_word, run_word
+from .core import Pfa, format_state_set, is_careful_sync_word, run_word, synchronized_state
 from .families import FamilySpec, parse_family
 from .io import ParseError, automaton_to_json, export_dot, load_document
 from .reporting import check_battery, errata_report, sweep, sweep_csv
@@ -105,10 +105,11 @@ def _cmd_verify(args) -> int:
     if res.final is None:
         print(f"not careful: undefined at position {res.undefined_at}")
         return EXIT_NOT_SYNC
-    if res.final.bit_count() != 1:
+    state = synchronized_state(res.final)
+    if state is None:
         print(f"not synchronizing: final set {format_state_set(pfa, res.final)}")
         return EXIT_NOT_SYNC
-    print(f"verified: synchronizes to state {pfa.state_name(res.final.bit_length() - 1)}")
+    print(f"verified: synchronizes to state {pfa.state_name(state)}")
     return EXIT_OK
 
 

@@ -110,6 +110,8 @@ def bits_from_states(states: Iterable[int]) -> int:
 
 def states_from_bits(mask: int) -> tuple[int, ...]:
     """Unpack a subset mask into sorted state indices."""
+    if mask < 0:
+        raise ValueError(f"cannot unpack the negative mask {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -127,9 +129,11 @@ def image(pfa: Pfa, letter: int, s: int) -> int | None:
 
     Returns ``None`` (the power automaton's "undefined" outcome) when the
     letter is undefined on some member of ``s``.  Only the rows of the
-    members are read: a target outside the states there raises ValueError,
-    and a row too short for ``letter`` IndexError.
+    members are read: a letter outside the alphabet or a target outside the
+    states there raises ValueError, and a row too short for ``letter`` IndexError.
     """
+    if not 0 <= letter < len(pfa.letters):
+        raise ValueError(f"letter index {letter} out of range")
     delta, n, out = pfa.delta, pfa.n, 0
     while s:
         low = s & -s
@@ -162,16 +166,14 @@ def run_word(pfa: Pfa, s: int, word: Sequence[int]) -> RunResult:
     """Apply a word letter by letter from subset ``s``, keeping the trace.
 
     Each step is one :func:`image`, so only the rows of the states the walk
-    meets are read, and a bad entry there raises as :func:`image` says.  A
-    letter index outside the alphabet raises ValueError.
+    meets are read, and a bad entry there or a letter outside the alphabet
+    raises as :func:`image` says.
     """
     if not 0 < s < 1 << pfa.n:
         raise ValueError(f"cannot run a word from {s:#x}: not a nonempty subset of the states")
     trace = [s]
     cur = s
     for pos, letter in enumerate(word):
-        if not 0 <= letter < len(pfa.letters):
-            raise ValueError(f"letter index {letter} out of range")
         cur = image(pfa, letter, cur)
         if cur is None:
             return RunResult(None, tuple(trace), undefined_at=pos)
@@ -182,13 +184,18 @@ def run_word(pfa: Pfa, s: int, word: Sequence[int]) -> RunResult:
 def is_careful_sync_word(pfa: Pfa, word: Sequence[int]) -> tuple[bool, int | None]:
     """Does ``word`` carefully synchronize the automaton from the full set?
 
-    Returns ``(True, state)`` with the synchronized state on success and
-    ``(False, None)`` otherwise.
+    Returns ``(True, state)`` with the :func:`synchronized_state`, else ``(False, None)``.
     """
-    res = run_word(pfa, pfa.full_set(), word)
-    if res.final is None or res.final.bit_count() != 1:
-        return False, None
-    return True, res.final.bit_length() - 1
+    state = synchronized_state(run_word(pfa, pfa.full_set(), word).final)
+    return state is not None, state
+
+
+def synchronized_state(final: int | None) -> int | None:
+    """The one verdict rule: the state a walk ending at subset ``final`` synchronizes
+    to, or ``None`` when a letter was undefined or ``final`` holds two or more states."""
+    if final is None or final.bit_count() != 1:
+        return None
+    return final.bit_length() - 1
 
 
 def defined_letters(pfa: Pfa, s: int) -> list[int]:

@@ -33,12 +33,12 @@ def automaton_to_json(pfa: Pfa, family: str | None = None) -> str:
 
     doc = {
         "format_version": FORMAT_VERSION,
-        "letters": list(pfa.letters),
+        "letters": pfa.letters,
         "states": pfa.n,
-        "delta": [list(row) for row in pfa.delta],
+        "delta": pfa.delta,
     }
     if pfa.state_names is not None:
-        doc["state_names"] = list(pfa.state_names)
+        doc["state_names"] = pfa.state_names
     if family is not None:
         doc["metadata"] = family
     return json.dumps(doc, indent=2) + "\n"
@@ -98,11 +98,7 @@ def load_document(text: str) -> tuple[Pfa, str | None]:
     metadata = doc.get("metadata")
     if metadata is not None and not isinstance(metadata, str):
         raise ParseError("field 'metadata' must be a string")
-    pfa = Pfa(
-        tuple(letters),
-        tuple(tuple(row) for row in delta),
-        tuple(state_names) if state_names is not None else None,
-    )
+    pfa = Pfa(letters, delta, state_names)
     diags = validate(pfa)
     if diags:
         raise ValidationError(diags)

@@ -17,6 +17,7 @@ from .core import (
     format_state_set,
     is_careful_sync_word,
     run_word,
+    synchronized_state,
     total_merging_letter,
     validate,
 )
@@ -24,7 +25,6 @@ from .families import FamilySpec, gen_chain, gen_cerny, gen_grid, gen_witness, g
 from .search import (
     CapExceeded,
     DEFAULT_MAX_SUBSETS,
-    ForcedStep,
     forced_path_check,
     reachable_subset_count,
     shortest_careful_word,
@@ -149,15 +149,6 @@ def sweep_csv(rows: Sequence[SweepRow], include_timings: bool = False) -> str:
     return buf.getvalue()
 
 
-def _walk(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, ForcedStep | None]:
-    """The state ``word`` carefully synchronizes to, or ``None``, and its first
-    unforced step, from one walk of the word."""
-    final, step = forced_path_check(pfa, word)
-    if final is None or final.bit_count() != 1:
-        return None, step
-    return final.bit_length() - 1, step
-
-
 class CheckResult(NamedTuple):
     name: str
     passed: bool
@@ -225,7 +216,8 @@ def check_battery(
         )
         if fits and min(spec.d, spec.k) >= 2:  # the builder word's domain
             w = grid_word(spec.d, spec.k)
-            state, step = _walk(pfa, w)
+            final, step = forced_path_check(pfa, w)
+            state = synchronized_state(final)
             ok = state is not None
             detail = (f"builder word of length {len(w)} synchronizes to {pfa.state_name(state)}"
                       if ok else "builder word fails")
@@ -235,7 +227,8 @@ def check_battery(
                           else f"step {step.position} is not forced")
                 results.append(CheckResult("forced-path", step is None, detail))
     if word is not None:
-        state, step = _walk(pfa, word)
+        final, step = forced_path_check(pfa, word)
+        state = synchronized_state(final)
         ok = state is not None
         detail = (f"synchronizes to {pfa.state_name(state)}" if ok
                   else "does not carefully synchronize")
@@ -310,13 +303,8 @@ def errata_report() -> str:
     lines = [
         "careful synchronization: claims vs measurements",
         "===============================================",
-        "",
     ]
-    _witness_section(lines)
-    lines.append("")
-    _grid_section(lines)
-    lines.append("")
-    _alt_word_section(lines)
-    lines.append("")
-    _distance_section(lines)
+    for section in (_witness_section, _grid_section, _alt_word_section, _distance_section):
+        lines.append("")
+        section(lines)
     return "\n".join(lines) + "\n"

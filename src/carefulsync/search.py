@@ -17,7 +17,7 @@ from operator import or_
 from typing import AbstractSet, NamedTuple, Sequence
 
 from . import words
-from .core import Pfa, defined_letters, image, total_merging_letter
+from .core import Pfa, defined_letters, image, synchronized_state, total_merging_letter
 
 DEFAULT_MAX_SUBSETS = 1 << 24
 
@@ -284,7 +284,7 @@ def shortest_careful_word(
     would pass :data:`~carefulsync.words.MAX_WORD_LEN` letters.
     """
     word, final, visited = _bfs(pfa, pfa.full_set(), None, max_subsets)
-    return None if word is None else SearchResult(word, visited, final.bit_length() - 1)
+    return None if word is None else SearchResult(word, visited, synchronized_state(final))
 
 
 def reachable_subset_count(pfa: Pfa, *, max_subsets: int = DEFAULT_MAX_SUBSETS) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import Pfa, image, run_word, states_from_bits
+from .core import Pfa, image, run_word, states_from_bits, synchronized_state
 from .families import gen_cerny, gen_chain
 
 # The longest word a builder here (or :func:`carefulsync.transforms.lift_word`)
@@ -52,7 +52,7 @@ def _lift(d: int, base: Pfa, base_word: Sequence[int]) -> tuple[int, ...]:
     # the lift builder, documented at transforms.lift_word
     k = base.n
     res = run_word(base, base.full_set(), base_word)
-    if res.final is None or res.final.bit_count() != 1:
+    if synchronized_state(res.final) is None:
         raise ValueError("base word does not carefully synchronize the base automaton")
     length = d**k + len(base_word) + sum(d ** t.bit_count() - 1 for t in res.trace[1:-1])
     check_word_budget("lifted word", length)
@@ -136,7 +136,7 @@ def min_alt_reps(n: int) -> int | None:
         block = [cerny.delta[q][a] for q in block]
     tail = Pfa(("tail",), [(q,) for q in block])
     for r in range(n - 2):
-        if image(cerny, 0, s).bit_count() == 1:  # the final c1; the table is total
+        if synchronized_state(image(cerny, 0, s)) is not None:  # the final c1
             return r
         s = image(tail, 0, s)
     return n - 2

@@ -95,6 +95,11 @@ def test_bits_round_trip():
     assert bits_from_states([0, 2, 5]) == 0b100101
     assert states_from_bits(0b100101) == (0, 2, 5)
     assert states_from_bits(0) == ()
+    # a negative mask has no lowest-bit end: refused before the loop
+    with pytest.raises(ValueError):
+        states_from_bits(-1)
+    with pytest.raises(ValueError):
+        format_state_set(gen_witness(), -1)
 
 
 def test_run_word_one_letter_from_the_full_set():
@@ -159,6 +164,9 @@ def test_run_word_rejects_out_of_range_letters():
     for letter in (-1, len(pfa.letters)):
         with pytest.raises(ValueError):
             run_word(pfa, pfa.full_set(), (0, letter))
+        # image itself refuses it: -1 does not read the last letter's row
+        with pytest.raises(ValueError, match="out of range"):
+            image(pfa, letter, 0b1011)
 
 
 def test_run_word_reads_only_the_rows_it_meets():

@@ -886,6 +886,23 @@ def test_no_module_imports_dataclasses_or_string():
     assert not [(name, module) for name, module in imported
                 if module in ("dataclasses", "string")]
 
+
+def test_only_core_tests_a_final_subset_for_one_state():
+    # one verdict rule, core.synchronized_state: no other module restates
+    # "a single state" as a comparison of bit_count() with 1
+    def is_one_state_test(node):
+        operands = [node.left, *node.comparators]
+        return (all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                and any(isinstance(x, ast.Constant) and x.value == 1 for x in operands)
+                and any(isinstance(x, ast.Call) and isinstance(x.func, ast.Attribute)
+                        and x.func.attr == "bit_count" for x in operands))
+
+    found = [path.name for path in sorted(Path(search.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Compare) and is_one_state_test(node)]
+    assert found == ["core.py"]
+
+
 def test_search_catches_only_the_letter_lists_key_error():
     # the start rule reads only whether entries are defined, and a bad entry
     # raises from compile_letters: no handler in the search module may
