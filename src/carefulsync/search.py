@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from array import array
 from functools import cache
-from itertools import repeat
 from operator import or_
 from typing import AbstractSet, NamedTuple, Sequence
 
@@ -96,27 +95,29 @@ def compile_letters(
     everywhere = (1 << width) - 1
     chunks = []
     for lo in range(0, max(n, 4 * b), b):
-        # One column of images per letter and the domain masks, doubled once
-        # per state (a column's map stops with its repeat, so it reads only
-        # the old entries); the columns and the masks are then zipped into
-        # row records.
-        cols = [[0] for _ in range(width)]
+        # The chunk's rows, ``width`` images each, one after another in one flat
+        # list, and their domain masks, doubled once per state: row ``c + 2^i``
+        # is row ``c`` ORed with the images of state ``lo + i``, each ``1 << t``
+        # or -1 (the map stops with ``entries``, so it reads only the old rows).
+        # The rows and the masks are then zipped into row records.
+        flat = [0] * width
         domains = [everywhere]
         for q in range(lo, min(lo + b, n)):
-            row, defined, outside = pfa.delta[q], everywhere, False
-            for a, col in enumerate(cols):
+            row, defined, outside, entries = pfa.delta[q], everywhere, False, []
+            for a in range(width):
                 t = row[a]
                 if t is None:
-                    col += repeat(-1, len(col))
+                    entries.append(-1)
                     defined ^= 1 << a
                 elif 0 <= t < n:
-                    col += map(or_, col, repeat(1 << t, len(col)))
+                    entries.append(1 << t)
                 else:
                     outside = True
             if outside:
                 raise ValueError(f"delta row {q} has a target outside {n} states")
+            flat += map(or_, flat, entries * len(domains))
             domains += [dom & defined for dom in domains]
-        chunks.append(list(zip(*cols, domains)))
+        chunks.append(list(zip(*[iter(flat)] * width, domains)))
     return b, chunks[:4], [(chunk, b * j) for j, chunk in enumerate(chunks[4:], 4)]
 
 
@@ -231,15 +232,16 @@ def _bfs(
             # CPython specialises only nonnegative tuple subscripts.
             r0, r1, r2, r3 = t0[s & m], t1[s >> b & m], t2[s >> b2 & m], t3[s >> b3 & m]
             defined = r0[width] & r1[width] & r2[width] & r3[width]
-            hi = s >> b4  # states 32 and up, in 8-state chunks; 0 when n <= 32
-            while hi:  # the wide chunks that hold a state of ``s``, lowest first
-                j = (hi & -hi).bit_length() - 1 >> 3
-                row = wide[j][0][hi >> 8 * j & 255]
-                defined &= row[width]
-                # this ORs the domain masks too, a slot no probe reads: the
-                # letters probed are all below the alphabet size
-                r3 = tuple(map(or_, r3, row))
-                hi &= -256 << 8 * j
+            if wide:  # states 32 and up, in 8-state chunks
+                hi = s >> b4
+                while hi:  # the wide chunks that hold a state of ``s``, lowest first
+                    j = (hi & -hi).bit_length() - 1 >> 3
+                    row = wide[j][0][hi >> 8 * j & 255]
+                    defined &= row[width]
+                    # this ORs the domain masks too, a slot no probe reads: the
+                    # letters probed are all below the alphabet size
+                    r3 = tuple(map(or_, r3, row))
+                    hi &= -256 << 8 * j
             try:
                 listed = letters[defined]
             except KeyError:
@@ -396,16 +398,16 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
     width = range(last)
     if not word:  # a walk that reads no letter compiles no table
         return pfa.full_set(), None
-    # The subsets on the path up to the first unforced step, at ``pos``: a first
+    # The subsets on the path up to the first unforced step, which reads ``letter``: a first
     # letter outside the alphabet or undefined on the full set compiles no table.
-    cur, pos = pfa.full_set(), 0
+    cur, letter = pfa.full_set(), word[0]
     seen = {cur}
-    if word[0] in defined_letters(pfa, cur):
+    if letter in defined_letters(pfa, cur):
         b, (t0, t1, t2, t3), wide = compile_letters(pfa)
         b2, b3, m = 2 * b, 3 * b, (1 << b) - 1
         letters = _letter_lists(last)
         rows = ()  # the occupied wide chunks' rows: states 32 and up, none when n <= 32
-        for pos, letter in enumerate(word):
+        for letter in word:
             # The letters defined on ``cur`` and its chunk rows, unrolled over
             # the first four chunks as in the kernel; a wide chunk row is kept
             # only when ``cur`` has a state in it.
@@ -443,7 +445,7 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
             break
         else:
             return cur, None
-    letter = word[pos]
+    pos = len(seen) - 1  # the start and each forced step added one subset
     if letter not in width:  # never defined, so the forced prefix leaves it to here
         raise ValueError(f"letter index {letter} out of range")
     out = [image(pfa, a, cur) for a in width]

@@ -12,9 +12,14 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .core import Pfa, is_careful_sync_word
+from .core import Pfa, image, is_careful_sync_word
 from .families import check_table_size, expand, gen_cerny
 from .words import _lift, cerny_alt_word, check_word_budget, min_alt_reps
+
+
+def _column(pfa: Pfa, letter: int) -> list[int | None]:
+    image(pfa, letter, 0)  # core.image's check of the letter: the empty subset reads no row
+    return [row[letter] for row in pfa.delta]
 
 
 def kernel_partition(pfa: Pfa, letter: int) -> tuple[int, ...]:
@@ -23,9 +28,9 @@ def kernel_partition(pfa: Pfa, letter: int) -> tuple[int, ...]:
     Two states share a class when the letter sends them to the same
     target.  Classes are numbered 0, 1, ... by their smallest member.  The
     letter must be defined everywhere, otherwise the relation is partial
-    and a ValueError is raised.
+    and a ValueError is raised, as for a letter outside the alphabet.
     """
-    column = [row[letter] for row in pfa.delta]
+    column = _column(pfa, letter)
     if None in column:
         raise ValueError(f"letter {pfa.letters[letter]!r} is not total; kernel undefined")
     index: dict[int, int] = {}
@@ -33,9 +38,11 @@ def kernel_partition(pfa: Pfa, letter: int) -> tuple[int, ...]:
 
 
 def is_class_preserving(pfa: Pfa, letter: int, class_of: Sequence[int]) -> bool:
-    """True when every defined transition of the letter stays inside its class."""
-    return all(row[letter] is None or class_of[row[letter]] == class_of[q]
-               for q, row in enumerate(pfa.delta))
+    """True when every defined transition of the letter stays inside its class.
+
+    A letter outside the alphabet raises ValueError.
+    """
+    return all(t is None or class_of[t] == class_of[q] for q, t in enumerate(_column(pfa, letter)))
 
 
 def transform(d: int, base: Pfa) -> Pfa:

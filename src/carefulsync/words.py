@@ -169,6 +169,8 @@ def digit_subset(d: int, indices: Iterable[int], value: int) -> int:
     holds the least significant digit.  Uses the canonical state layout
     (class i's digit j is state ``(i-1)*d + j``).
     """
+    if d < 2:
+        raise ValueError("d must be at least 2")
     idx = sorted(set(indices))
     if not idx:
         raise ValueError("need at least one class index")

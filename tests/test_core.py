@@ -365,8 +365,13 @@ def _compiled(compile, pfa):
 def test_letter_tables_match_the_row_doubling_reference():
     # == on lists of tuples also fails where a row is a list, not a tuple
     undefined = 0
-    for n, seed in itertools.product((1, 7, 8, 9, 31, 32, 33, 40), range(4)):
-        pfa = gen_random(n, 1 + seed, 0.9, seed)
+    pfas = [gen_random(n, 1 + seed, 0.9, seed)
+            for n, seed in itertools.product((1, 7, 8, 9, 31, 32, 33, 40), range(4))]
+    # wide alphabets: the bench's counter grids (10 to 28 letters) and random
+    # tables of 9 and 29 letters, on both sides of 32 states
+    pfas += [gen_grid(d, k) for d, k in ((2, 14), (3, 8), (4, 6), (5, 5))]
+    pfas += [gen_random(n, l, 0.9, n + l) for n, l in itertools.product((24, 28, 33, 40), (9, 29))]
+    for pfa in pfas:
         undefined += sum(row.count(None) for row in pfa.delta)
         assert compile_letters(pfa) == _compile_letters_by_rows(pfa)
     assert undefined

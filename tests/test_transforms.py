@@ -36,6 +36,14 @@ def test_kernel_partition_cerny():
 def test_kernel_partition_needs_total_letter():
     with pytest.raises(ValueError):
         kernel_partition(gen_grid(3, 2), 1)  # b1 undefined at q2^1
+    # a letter outside the alphabet is refused as by core.image, not read
+    # from a row's end or past it
+    c = gen_cerny(4)
+    for letter in (-1, len(c.letters)):
+        with pytest.raises(ValueError, match=f"letter index {letter} out of range"):
+            kernel_partition(c, letter)
+        with pytest.raises(ValueError, match=f"letter index {letter} out of range"):
+            is_class_preserving(c, letter, (0, 1, 2, 3))
 
 
 def test_class_preserving_letters():

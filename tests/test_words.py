@@ -204,6 +204,10 @@ def test_digit_subset_validation():
         digit_subset(2, [1], -1)
     with pytest.raises(ValueError, match="class indices are 1-based"):
         digit_subset(2, [0], 0)
+    # d is checked first, as by counting_word
+    for d, value in ((0, 0), (-2, 3)):
+        with pytest.raises(ValueError, match="d must be at least 2"):
+            digit_subset(d, [1], value)
 
 
 def test_odometer_trace_exact():
