@@ -46,7 +46,7 @@ def expand(d: int, base: Pfa, c_letters: Sequence[str]) -> Pfa:
       sends class i's top to digit 0 of the class of ``x``'s target from
       base state i, wherever that target is defined.
 
-    Callers validate the parameters.
+    Callers validate the parameters, d by :func:`check_digits`.
     """
     k, top = base.n, d - 1
     table = []
@@ -65,14 +65,20 @@ def expand(d: int, base: Pfa, c_letters: Sequence[str]) -> Pfa:
     return Pfa(letters, table, names)
 
 
+def check_digits(d: int) -> int:
+    """Return ``d``, the digits per class, or raise ValueError when it is below 2."""
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    return d
+
+
 def gen_grid(d: int, k: int) -> Pfa:
     """Counter grid: the d-expansion (:func:`expand`) of the k-state chain.
 
     The c-letters keep the chain's names ``c2..ck``.  ``k = 1`` is permitted
     as a degenerate boundary case: one state with no letters, expanded.
     """
-    if d < 2:
-        raise ValueError("d must be at least 2")
+    check_digits(d)
     if k < 1:
         raise ValueError("k must be at least 1")
     base = gen_chain(k) if k > 1 else Pfa((), ((),))
@@ -122,8 +128,7 @@ def gen_padded(d: int, n: int) -> Pfa:
     is defined on the extra states, so every careful word must start
     with ``p``.
     """
-    if d < 2:
-        raise ValueError("d must be at least 2")
+    check_digits(d)
     if n <= d:
         raise ValueError("n must exceed d")
     if n % d == 0:

@@ -16,7 +16,7 @@ from operator import or_
 from typing import AbstractSet, NamedTuple, Sequence
 
 from . import words
-from .core import Pfa, defined_letters, image, synchronized_state, total_merging_letter
+from .core import Pfa, defined_letters, image, run_word, synchronized_state, total_merging_letter
 
 DEFAULT_MAX_SUBSETS = 1 << 24
 
@@ -86,8 +86,8 @@ def compile_letters(
     subset's row masks is the set of letters defined on it: the BFS kernel
     and the forced-path certificate in ``search`` compute images only for
     those letters.  A ragged table raises IndexError, before any target of
-    the short row is checked, and a target outside the states ValueError;
-    nothing is truncated.
+    the short row is checked, and a target outside the states
+    :func:`~carefulsync.core.image`'s ValueError; nothing is truncated.
     """
     n = pfa.n
     b = min(8, max(1, -(-n // 4)))
@@ -103,7 +103,7 @@ def compile_letters(
         flat = [0] * width
         domains = [everywhere]
         for q in range(lo, min(lo + b, n)):
-            row, defined, outside, entries = pfa.delta[q], everywhere, False, []
+            row, defined, outside, entries = pfa.delta[q], everywhere, None, []
             for a in range(width):
                 t = row[a]
                 if t is None:
@@ -112,9 +112,9 @@ def compile_letters(
                 elif 0 <= t < n:
                     entries.append(1 << t)
                 else:
-                    outside = True
-            if outside:
-                raise ValueError(f"delta row {q} has a target outside {n} states")
+                    outside = a
+            if outside is not None:  # after the whole row, so a short row raises IndexError first
+                image(pfa, outside, 1 << q)  # core.image's ValueError for the bad target
             flat += map(or_, flat, entries * len(domains))
             domains += [dom & defined for dom in domains]
         chunks.append(list(zip(*[iter(flat)] * width, domains)))
@@ -332,6 +332,7 @@ def brute_force_shortest(
         raise ValueError(f"word length bound {max_len} is negative")
     if max_subsets < 0:
         raise ValueError(f"state-step budget {max_subsets} is negative")
+    run_word(pfa, pfa.full_set(), ())  # refuses an automaton without states, as the searches do
     # Each letter's column of the table, highest letter first, so that the
     # least letter's extension is pushed last and popped first.
     columns = [(a, tuple(row[a] for row in pfa.delta)) for a in range(len(pfa.letters))][::-1]
@@ -446,8 +447,7 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
         else:
             return cur, None
     pos = len(seen) - 1  # the start and each forced step added one subset
-    if letter not in width:  # never defined, so the forced prefix leaves it to here
-        raise ValueError(f"letter index {letter} out of range")
+    image(pfa, letter, 0)  # a letter outside the alphabet, never defined, ends the prefix: raises
     out = [image(pfa, a, cur) for a in width]
     step = ForcedStep(pos, cur,
                       tuple(a for a in width if out[a] is not None and out[a] not in seen),
@@ -458,7 +458,7 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
         return None, step
     for letter in word[pos + 1:]:  # only the -1 mark says a letter is undefined
         if letter not in width:
-            raise ValueError(f"letter index {letter} out of range")
+            image(pfa, letter, 0)  # raises: the empty subset reads no row
         nxt = (t0[cur & m][letter] | t1[cur >> b & m][letter] | t2[cur >> b2 & m][letter]
                | t3[cur >> b3 & m][letter])
         if wide:

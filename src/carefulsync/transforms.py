@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .core import Pfa, image, is_careful_sync_word
-from .families import check_table_size, expand, gen_cerny
+from .families import check_digits, check_table_size, expand, gen_cerny
 from .words import _lift, cerny_alt_word, check_word_budget, min_alt_reps
 
 
@@ -55,8 +55,7 @@ def transform(d: int, base: Pfa) -> Pfa:
     :data:`~carefulsync.families.MAX_TABLE_ENTRIES` table entries raises
     ValueError before it is built.
     """
-    if d < 2:
-        raise ValueError("d must be at least 2")
+    check_digits(d)
     k, s = base.n, len(base.letters)
     if k < 1 or s < 1:
         raise ValueError("base automaton needs at least one state and one letter")
@@ -67,8 +66,7 @@ def transform(d: int, base: Pfa) -> Pfa:
 def _check_lift_floor(d: int, k: int) -> None:
     # every lifted word of a k-state base opens with ``a`` and the odometer
     # over all k classes: d^k letters
-    if d < 2:
-        raise ValueError("d must be at least 2")
+    check_digits(d)
     check_word_budget(f"opening of every lifted word for d={d}, k={k}", d**k)
 
 
@@ -106,11 +104,9 @@ def lifted_cerny_measurement(d: int, n: int) -> LiftedCernyMeasurement:
     """Expand the n-state cyclic DFA by d and measure the lifted word.
 
     The base word is the two-phase reset word with the smallest working
-    tail count.  Raises ValueError when the lifted word would exceed the
-    budget of :func:`lift_word`, from its d^n floor before any word is built.
+    tail count.  Raises ValueError for d below 2, n below 3, or a lifted word
+    over the budget of :func:`lift_word`, from its d^n floor before any is built.
     """
-    if d < 2 or n < 3:
-        raise ValueError("requires d >= 2 and n >= 3")
     _check_lift_floor(d, n)
     base_word = cerny_alt_word(n, min_alt_reps(n))
     base = gen_cerny(n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .core import Pfa, image, run_word, states_from_bits, synchronized_state
-from .families import gen_cerny, gen_chain
+from .families import check_digits, gen_cerny, gen_chain
 
 # The longest word a builder here (or :func:`carefulsync.transforms.lift_word`)
 # builds, and the longest word :func:`parse_word` accepts.  Each builder
@@ -36,8 +36,7 @@ def counting_word(d: int, indices: Iterable[int]) -> tuple[int, ...]:
     assignment of digits to those classes in increasing numeric order.
     Length is exactly ``d^|S| - 1``.
     """
-    if d < 2:
-        raise ValueError("d must be at least 2")
+    check_digits(d)
     idx = sorted(set(indices))
     if idx and idx[0] < 1:
         raise ValueError("class indices are 1-based")
@@ -154,9 +153,9 @@ FAMILY_WORDS = {
              lambda d, k: grid_word_claimed_length(d, k) if k >= 2 else None),
     "cerny": (lambda n: cerny_word(n), lambda n: (n - 1) ** 2, lambda n: (n - 1) ** 2),
     "chain": (lambda k: tuple(range(k - 2, -1, -1)), lambda k: k - 1, None),
-    # ``p`` is the padded automaton's last letter, index 2(n // d).
-    "padded": (lambda d, n: (2 * (n // d),) + grid_word(d, n // d),
-               lambda d, n: 1 + grid_word_length(d, n // d) if n // d >= 2 else None,
+    # ``p`` is the padded automaton's last letter, index 2(n // d), d checked first.
+    "padded": (lambda d, n: (2 * (n // check_digits(d)),) + grid_word(d, n // d),
+               lambda d, n: 1 + grid_word_length(d, n // d) if n // check_digits(d) >= 2 else None,
                None),
     "random": (None, None, None),
 }
@@ -169,8 +168,7 @@ def digit_subset(d: int, indices: Iterable[int], value: int) -> int:
     holds the least significant digit.  Uses the canonical state layout
     (class i's digit j is state ``(i-1)*d + j``).
     """
-    if d < 2:
-        raise ValueError("d must be at least 2")
+    check_digits(d)
     idx = sorted(set(indices))
     if not idx:
         raise ValueError("need at least one class index")

@@ -70,8 +70,9 @@ def test_grid_degenerate_k1():
 
 
 def test_grid_param_validation():
-    with pytest.raises(ValueError):
-        gen_grid(1, 2)
+    for d in (1, 0, -2):
+        with pytest.raises(ValueError, match="d must be at least 2"):
+            gen_grid(d, 2)
     with pytest.raises(ValueError):
         gen_grid(2, 0)
     with pytest.raises(ValueError, match="k must be at least 2"):

@@ -201,8 +201,10 @@ def test_brute_force_stops_at_the_first_length_without_a_careful_prefix():
 
 
 def test_brute_force_negative_length_rejected():
-    with pytest.raises(ValueError):
-        brute_force_shortest(gen_witness(), -1)
+    # and an automaton without states, whose empty full set every other search refuses
+    for pfa, max_len in ((gen_witness(), -1), (Pfa((), ()), 3)):
+        with pytest.raises(ValueError):
+            brute_force_shortest(pfa, max_len)
 
 
 def test_brute_force_needs_no_recursion():
@@ -901,6 +903,35 @@ def test_only_core_tests_a_final_subset_for_one_state():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Compare) and is_one_state_test(node)]
     assert found == ["core.py"]
+
+
+def test_each_raised_message_has_one_site():
+    # one raise per input rule: a message template raised as a string or an
+    # f-string is raised from one place, which the other callers call; this
+    # list of pairs still restated may only shrink
+    restated = {
+        "word length bound {} is negative": ["cli.py", "search.py"],
+        "n must be at least 2": ["families.py", "words.py"],
+        "class indices are 1-based": ["words.py", "words.py"],
+        "requires d >= 2 and k >= 2": ["words.py", "words.py"],
+    }
+    sites = {}
+    for path in sorted(Path(search.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                arg = node.exc.args[0]
+                if isinstance(arg, ast.JoinedStr):
+                    template = "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                                       for part in arg.values)
+                elif isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    template = arg.value
+                else:
+                    continue
+                sites.setdefault(template, []).append(path.name)
+    assert sites["d must be at least 2"] == ["families.py"]
+    assert sites["letter index {} out of range"] == ["core.py"]
+    assert sites["delta row {} has a target outside {} states"] == ["core.py"]
+    assert {template: where for template, where in sites.items() if len(where) > 1} == restated
 
 
 def test_search_catches_only_the_letter_lists_key_error():

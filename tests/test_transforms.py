@@ -104,8 +104,9 @@ def test_transform_partial_base_leaves_holes():
 
 
 def test_transform_param_validation():
-    with pytest.raises(ValueError):
-        transform(1, gen_chain(2))
+    for d in (1, 0, -2):
+        with pytest.raises(ValueError, match="d must be at least 2"):
+            transform(d, gen_chain(2))
     with pytest.raises(ValueError):
         transform(2, Pfa((), ((),)))
 
@@ -142,8 +143,9 @@ def test_lift_rejects_bad_base_word():
         lift_word(2, base, ())  # empty word does not synchronize a 3-state base
     with pytest.raises(ValueError):
         lift_word(2, base, (0,))
-    with pytest.raises(ValueError, match="d must be at least 2"):
-        lift_word(1, base, cerny_word(3))
+    for d in (1, 0, -2):
+        with pytest.raises(ValueError, match="d must be at least 2"):
+            lift_word(d, base, cerny_word(3))
 
 
 def test_lift_single_state_base():
@@ -192,8 +194,11 @@ def test_lifted_cerny_measurement():
 def test_lifted_cerny_budget():
     with pytest.raises(ValueError, match="over the budget of 1000000"):
         lifted_cerny_measurement(2, 20)  # the first odometer alone has 2^20 letters
-    with pytest.raises(ValueError):
-        lifted_cerny_measurement(1, 4)
+    for d in (1, 0, -2):
+        with pytest.raises(ValueError, match="d must be at least 2"):
+            lifted_cerny_measurement(d, 4)
+    with pytest.raises(ValueError, match="n must be at least 3"):
+        lifted_cerny_measurement(2, 2)
 
 
 def test_lift_word_budget_is_the_exact_length(monkeypatch):

@@ -41,8 +41,13 @@ def test_counting_word_lengths():
 
 
 def test_counting_word_validation():
-    with pytest.raises(ValueError):
-        counting_word(1, [1])
+    for d in (1, 0, -2):
+        with pytest.raises(ValueError, match="d must be at least 2"):
+            counting_word(d, [1])
+        # the padded word and its length divide by d, which is checked first
+        for build in FAMILY_WORDS["padded"][:2]:
+            with pytest.raises(ValueError, match="d must be at least 2"):
+                build(d, 5)
     with pytest.raises(ValueError):
         counting_word(2, [0, 1])
 
