@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import families
+from . import families, search
 from .core import Pfa, format_state_set, is_careful_sync_word, run_word, synchronized_state
 from .families import FamilySpec, parse_family
 from .io import ParseError, automaton_to_json, export_dot, load_document
@@ -72,8 +72,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     pfa, _ = _load_automaton(args.automaton)
-    if args.max_wordlen is not None and args.max_wordlen < 0:  # whether or not a word exists
-        raise ValueError(f"word length bound {args.max_wordlen} is negative")
+    if args.max_wordlen is not None:  # whether or not a word exists
+        search.check_max_len(args.max_wordlen)
     found = shortest_careful_word(pfa, max_subsets=args.max_subsets)
     if found is None:
         print("not carefully synchronizing", file=sys.stderr)

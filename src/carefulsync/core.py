@@ -148,6 +148,13 @@ def image(pfa: Pfa, letter: int, s: int) -> int | None:
     return out
 
 
+def check_subset(pfa: Pfa, s: int, what: str) -> int:
+    """Return ``s``, a nonempty subset of the states, or raise ValueError naming it ``what``."""
+    if not 0 < s < 1 << pfa.n:
+        raise ValueError(f"{what} {s:#x} must be a nonempty subset of {pfa.n} states")
+    return s
+
+
 class RunResult(NamedTuple):
     """Outcome of folding a word over a state subset.
 
@@ -167,11 +174,9 @@ def run_word(pfa: Pfa, s: int, word: Sequence[int]) -> RunResult:
 
     Each step is one :func:`image`, so only the rows of the states the walk
     meets are read, and a bad entry there or a letter outside the alphabet
-    raises as :func:`image` says.
+    raises as :func:`image` says; ``s`` must pass :func:`check_subset`.
     """
-    if not 0 < s < 1 << pfa.n:
-        raise ValueError(f"cannot run a word from {s:#x}: not a nonempty subset of the states")
-    trace = [s]
+    trace = [check_subset(pfa, s, "start set")]
     cur = s
     for pos, letter in enumerate(word):
         cur = image(pfa, letter, cur)

@@ -85,14 +85,19 @@ def gen_grid(d: int, k: int) -> Pfa:
     return expand(d, base, base.letters)
 
 
+def check_cerny_states(n: int) -> None:
+    """Raise ValueError when ``n``, the cyclic DFA's number of states, is below 2."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+
+
 def gen_cerny(n: int) -> Pfa:
     """The classic n-state cyclic DFA with shortest reset word (n-1)^2.
 
     Letter ``c1`` sends state 0 to 1 and fixes everything else; ``c2`` is
     the cyclic shift.  The table is total.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    check_cerny_states(n)
     table = []
     for m in range(n):
         table.append((1 if m == 0 else m, (m + 1) % n))

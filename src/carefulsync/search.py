@@ -16,7 +16,8 @@ from operator import or_
 from typing import AbstractSet, NamedTuple, Sequence
 
 from . import words
-from .core import Pfa, defined_letters, image, run_word, synchronized_state, total_merging_letter
+from .core import (Pfa, check_subset, defined_letters, image, synchronized_state,
+                   total_merging_letter)
 
 DEFAULT_MAX_SUBSETS = 1 << 24
 
@@ -183,8 +184,7 @@ def _bfs(
     if max_subsets < 0:
         raise ValueError(f"subset budget {max_subsets} is negative")
     n = pfa.n
-    if not 0 < start < 1 << n:
-        raise ValueError(f"start set {start:#x} must be a nonempty subset of {n} states")
+    check_subset(pfa, start, "start set")
     if not max_subsets:
         raise CapExceeded(1)
     if goals is None:  # with no total merging letter, a full set of 2+ states reaches only itself
@@ -305,10 +305,14 @@ def subset_distance(pfa: Pfa, src: int, dst: int) -> int | None:
     Raises :class:`CapExceeded` past :data:`DEFAULT_MAX_SUBSETS` subsets,
     or past :data:`~carefulsync.words.MAX_WORD_LEN` levels.
     """
-    if not 0 < dst < 1 << pfa.n:
-        raise ValueError(f"target set {dst:#x} must be a nonempty subset of {pfa.n} states")
-    word = _bfs(pfa, src, {dst}, DEFAULT_MAX_SUBSETS)[0]
+    word = _bfs(pfa, src, {check_subset(pfa, dst, "target set")}, DEFAULT_MAX_SUBSETS)[0]
     return None if word is None else len(word)
+
+
+def check_max_len(max_len: int) -> None:
+    """Raise ValueError when the oracle's word length bound ``max_len`` is negative."""
+    if max_len < 0:
+        raise ValueError(f"word length bound {max_len} is negative")
 
 
 def brute_force_shortest(
@@ -328,11 +332,10 @@ def brute_force_shortest(
     the time whatever the number of states.  A negative ``max_subsets``
     raises ValueError too.
     """
-    if max_len < 0:
-        raise ValueError(f"word length bound {max_len} is negative")
+    check_max_len(max_len)
     if max_subsets < 0:
         raise ValueError(f"state-step budget {max_subsets} is negative")
-    run_word(pfa, pfa.full_set(), ())  # refuses an automaton without states, as the searches do
+    check_subset(pfa, pfa.full_set(), "start set")  # empty without states, as in the searches
     # Each letter's column of the table, highest letter first, so that the
     # least letter's extension is pushed last and popped first.
     columns = [(a, tuple(row[a] for row in pfa.delta)) for a in range(len(pfa.letters))][::-1]
@@ -393,15 +396,14 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
     The automaton must have a state, and the word must use letters of the
     alphabet only up to where it stops; otherwise a ValueError is raised.
     """
-    if not pfa.n:
-        raise ValueError("the automaton has no states")
+    full = check_subset(pfa, pfa.full_set(), "start set")
     last = len(pfa.letters)  # the index of a row's domain mask, as in the kernel
     width = range(last)
     if not word:  # a walk that reads no letter compiles no table
-        return pfa.full_set(), None
+        return full, None
     # The subsets on the path up to the first unforced step, which reads ``letter``: a first
     # letter outside the alphabet or undefined on the full set compiles no table.
-    cur, letter = pfa.full_set(), word[0]
+    cur, letter = full, word[0]
     seen = {cur}
     if letter in defined_letters(pfa, cur):
         b, (t0, t1, t2, t3), wide = compile_letters(pfa)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .core import Pfa, image, run_word, states_from_bits, synchronized_state
-from .families import check_digits, gen_cerny, gen_chain
+from .families import check_cerny_states, check_digits, gen_cerny, gen_chain
 
 # The longest word a builder here (or :func:`carefulsync.transforms.lift_word`)
 # builds, and the longest word :func:`parse_word` accepts.  Each builder
@@ -37,14 +37,20 @@ def counting_word(d: int, indices: Iterable[int]) -> tuple[int, ...]:
     Length is exactly ``d^|S| - 1``.
     """
     check_digits(d)
-    idx = sorted(set(indices))
-    if idx and idx[0] < 1:
-        raise ValueError("class indices are 1-based")
+    idx = _class_indices(indices)
     check_word_budget(f"odometer word over {len(idx)} classes", d ** len(idx) - 1)
     word: tuple[int, ...] = ()
     for m in idx:
         word = (word + (m,)) * (d - 1) + word
     return word
+
+
+def _class_indices(indices: Iterable[int]) -> list[int]:
+    """The distinct class indices, ascending; ValueError when one is below 1."""
+    idx = sorted(set(indices))
+    if idx and idx[0] < 1:
+        raise ValueError("class indices are 1-based")
+    return idx
 
 
 def _lift(d: int, base: Pfa, base_word: Sequence[int]) -> tuple[int, ...]:
@@ -75,8 +81,9 @@ def grid_word(d: int, k: int) -> tuple[int, ...]:
 
 
 def grid_word_length(d: int, k: int) -> int:
-    if d < 2 or k < 2:
-        raise ValueError("requires d >= 2 and k >= 2")
+    check_digits(d)
+    if k < 2:
+        raise ValueError("the grid word requires k >= 2")
     return 1 + sum(d**i for i in range(2, k + 1))
 
 
@@ -88,15 +95,13 @@ def grid_word_claimed_length(d: int, k: int) -> int:
     per-class c-letter is counted twice in the published derivation); kept
     verbatim so reports can show the discrepancy.
     """
-    if d < 2 or k < 2:
-        raise ValueError("requires d >= 2 and k >= 2")
+    grid_word_length(d, k)  # the grid word's d and k rules
     return (d ** (k + 1) + (d - 1) * k - d * d) // (d - 1)
 
 
 def cerny_word(n: int) -> tuple[int, ...]:
     """Classic reset word (c1 c2^(n-1))^(n-2) c1 of length (n-1)^2."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    check_cerny_states(n)
     check_word_budget(f"classic reset word for n={n}", (n - 1) ** 2)
     return ((0,) + (1,) * (n - 1)) * (n - 2) + (0,)
 
@@ -169,11 +174,9 @@ def digit_subset(d: int, indices: Iterable[int], value: int) -> int:
     (class i's digit j is state ``(i-1)*d + j``).
     """
     check_digits(d)
-    idx = sorted(set(indices))
+    idx = _class_indices(indices)
     if not idx:
         raise ValueError("need at least one class index")
-    if idx[0] < 1:
-        raise ValueError("class indices are 1-based")
     if value < 0:
         raise ValueError("value must be non-negative")
     mask = 0

@@ -416,8 +416,9 @@ def test_words_cerny_two_states_has_no_two_phase_word(capsys):
 
 def test_words_no_builder(capsys):
     assert main(["words", "--family", "witness"]) == 2
-    # a padded spec's length divides by d, which is checked first
-    for spec in ("padded:d=0,n=5", "padded:d=-1,n=5"):
+    # a padded spec's length divides by d, and a grid's length reads d and k:
+    # d is checked first, with the message that check gives
+    for spec in ("padded:d=0,n=5", "padded:d=-1,n=5", "grid:d=1,k=3", "grid:d=0,k=3"):
         capsys.readouterr()
         assert main(["words", "--family", spec]) == 2
         assert capsys.readouterr().err == "error: d must be at least 2\n"

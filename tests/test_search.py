@@ -100,6 +100,34 @@ def test_empty_start_rejected():
         shortest_careful_word(Pfa(("a",), ()))
 
 
+# Every caller of the one subset rule, core.check_subset: a call on an automaton
+# and a subset, the name the message gives that subset, and whether the caller
+# takes a subset.  The walks and searches from the full set take none, and meet
+# an empty one only on an automaton without states.
+SUBSET_RULE_CALLERS = {
+    "run_word": (lambda pfa, s: run_word(pfa, s, (0,)), "start set", True),
+    "shortest_careful_word": (lambda pfa, s: shortest_careful_word(pfa), "start set", False),
+    "reachable_subset_count": (lambda pfa, s: reachable_subset_count(pfa), "start set", False),
+    "subset_distance-start": (lambda pfa, s: subset_distance(pfa, s, 1), "start set", True),
+    "subset_distance-target": (lambda pfa, s: subset_distance(pfa, 1, s), "target set", True),
+    "forced_path_check": (lambda pfa, s: forced_path_check(pfa, (0,)), "start set", False),
+    "brute_force_shortest": (lambda pfa, s: brute_force_shortest(pfa, 3), "start set", False),
+}
+
+
+@pytest.mark.parametrize("caller", SUBSET_RULE_CALLERS)
+def test_every_subset_argument_is_refused_by_the_one_rule(caller):
+    call, what, takes_subset = SUBSET_RULE_CALLERS[caller]
+    witness, stateless = gen_witness(), Pfa(("a",), ())
+    cases = [(witness, s) for s in (0, 1 << witness.n, -1)] if takes_subset else []
+    if caller != "subset_distance-start":  # its target, 1, is checked first
+        cases.append((stateless, 0))
+    for pfa, s in cases:
+        with pytest.raises(ValueError) as err:
+            call(pfa, s)
+        assert str(err.value) == f"{what} {s:#x} must be a nonempty subset of {pfa.n} states"
+
+
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         shortest_careful_word(gen_grid(2, 3), max_subsets=3)
@@ -350,7 +378,7 @@ def test_forced_path_rejects_out_of_range_letters_and_starts():
             forced_path_check(g, word[:2] + (bad,) + word[2:])
     # the walk starts from the full set, which is empty without states
     for w in ((0,), ()):
-        with pytest.raises(ValueError, match="no states"):
+        with pytest.raises(ValueError, match="start set 0x0 must be a nonempty subset of 0 states"):
             forced_path_check(Pfa(("a",), ()), w)
 
 
@@ -905,16 +933,27 @@ def test_only_core_tests_a_final_subset_for_one_state():
     assert found == ["core.py"]
 
 
+def test_only_core_compares_a_subset_with_the_state_bound():
+    # one subset rule, core.check_subset: no other module restates "a
+    # nonempty subset of the states" as a comparison with 1 << n or 1 << pfa.n
+    def is_state_bound(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+                and isinstance(node.left, ast.Constant) and node.left.value == 1
+                and (isinstance(node.right, ast.Name) and node.right.id == "n"
+                     or isinstance(node.right, ast.Attribute) and node.right.attr == "n"))
+
+    found = [path.name for path in sorted(Path(search.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Compare)
+             and any(map(is_state_bound, [node.left, *node.comparators]))]
+    assert found == ["core.py"]
+
+
 def test_each_raised_message_has_one_site():
     # one raise per input rule: a message template raised as a string or an
-    # f-string is raised from one place, which the other callers call; this
-    # list of pairs still restated may only shrink
-    restated = {
-        "word length bound {} is negative": ["cli.py", "search.py"],
-        "n must be at least 2": ["families.py", "words.py"],
-        "class indices are 1-based": ["words.py", "words.py"],
-        "requires d >= 2 and k >= 2": ["words.py", "words.py"],
-    }
+    # f-string is raised from one place, which the other callers call; no
+    # template is restated
+    restated = {}
     sites = {}
     for path in sorted(Path(search.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -931,6 +970,11 @@ def test_each_raised_message_has_one_site():
     assert sites["d must be at least 2"] == ["families.py"]
     assert sites["letter index {} out of range"] == ["core.py"]
     assert sites["delta row {} has a target outside {} states"] == ["core.py"]
+    assert sites["{} {} must be a nonempty subset of {} states"] == ["core.py"]
+    assert sites["word length bound {} is negative"] == ["search.py"]
+    assert sites["n must be at least 2"] == ["families.py"]
+    assert sites["class indices are 1-based"] == ["words.py"]
+    assert sites["the grid word requires k >= 2"] == ["words.py"]
     assert {template: where for template, where in sites.items() if len(where) > 1} == restated
 
 

@@ -86,10 +86,12 @@ def test_claimed_length_is_the_exact_quotient():
 
 
 def test_word_builder_params():
-    with pytest.raises(ValueError):
+    # d is checked first, by families.check_digits, then k
+    with pytest.raises(ValueError, match="the grid word requires k >= 2"):
         grid_word(2, 1)
-    with pytest.raises(ValueError):
-        grid_word_claimed_length(1, 2)
+    for d, k in ((1, 2), (1, 1)):
+        with pytest.raises(ValueError, match="d must be at least 2"):
+            grid_word_claimed_length(d, k)
     with pytest.raises(ValueError, match="n must be at least 2"):
         cerny_word(1)
 
