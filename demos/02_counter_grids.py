@@ -48,10 +48,7 @@ print(f"  builder word's path is forced: {step is None}, to {format_state_set(au
 cerny = gen_cerny(4)
 _, step = forced_path_check(cerny, cerny_word(4))
 print(f"  classic cerny:n=4 word first branches at step {step.position},"
-      f" from {format_state_set(cerny, step.subset)}:"
-      f" new={[cerny.letters[a] for a in step.new_letters]}"
-      f" undefined={[cerny.letters[a] for a in step.undefined_letters]}"
-      f" seen={[cerny.letters[a] for a in step.visited_letters]}")
+      f" from {format_state_set(cerny, step.subset)}")
 
 print("\ngrowth across k (d=2):")
 for kk in range(2, 7):

@@ -95,8 +95,14 @@ def validate(pfa: Pfa) -> list[str]:
                 diags.append(
                     f"delta[{q}][{pfa.letters[a]!r}] = {t} is out of range for {n} states"
                 )
-    if pfa.state_names is not None and len(pfa.state_names) != n:
-        diags.append(f"state_names has {len(pfa.state_names)} entries, expected {n}")
+    if pfa.state_names is not None:
+        if len(pfa.state_names) != n:
+            diags.append(f"state_names has {len(pfa.state_names)} entries, expected {n}")
+        seen = set()
+        for name in pfa.state_names:
+            if name in seen:
+                diags.append(f"duplicate state name {name!r}")
+            seen.add(name)
     return diags
 
 

@@ -69,7 +69,7 @@ def load_document(text: str) -> tuple[Pfa, str | None]:
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # JSON true and 1.0 equal 1
         raise ParseError(f"unsupported format_version {version!r}")
     letters = doc.get("letters")
     if not isinstance(letters, list) or not all(isinstance(x, str) for x in letters):

@@ -368,13 +368,10 @@ def brute_force_shortest(
 
 
 class ForcedStep(NamedTuple):
-    """Letter classification at one position along a word's subset trace."""
+    """The first step of a word's subset trace that is not forced: its position and subset."""
 
     position: int
     subset: int
-    new_letters: tuple[int, ...]
-    undefined_letters: tuple[int, ...]
-    visited_letters: tuple[int, ...]
 
 
 def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, ForcedStep | None]:
@@ -398,7 +395,6 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
     """
     full = check_subset(pfa, pfa.full_set(), "start set")
     last = len(pfa.letters)  # the index of a row's domain mask, as in the kernel
-    width = range(last)
     if not word:  # a walk that reads no letter compiles no table
         return full, None
     # The subsets on the path up to the first unforced step, which reads ``letter``: a first
@@ -448,18 +444,12 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
             break
         else:
             return cur, None
-    pos = len(seen) - 1  # the start and each forced step added one subset
-    image(pfa, letter, 0)  # a letter outside the alphabet, never defined, ends the prefix: raises
-    out = [image(pfa, a, cur) for a in width]
-    step = ForcedStep(pos, cur,
-                      tuple(a for a in width if out[a] is not None and out[a] not in seen),
-                      tuple(a for a in width if out[a] is None),
-                      tuple(a for a in width if out[a] in seen))
-    cur = out[letter]
+    step = ForcedStep(len(seen) - 1, cur)  # the start and each forced step added one subset
+    cur = image(pfa, letter, cur)  # raises for a letter outside the alphabet
     if cur is None:
         return None, step
-    for letter in word[pos + 1:]:  # only the -1 mark says a letter is undefined
-        if letter not in width:
+    for letter in word[step.position + 1:]:  # only the -1 mark says a letter is undefined
+        if not 0 <= letter < last:
             image(pfa, letter, 0)  # raises: the empty subset reads no row
         nxt = (t0[cur & m][letter] | t1[cur >> b & m][letter] | t2[cur >> b2 & m][letter]
                | t3[cur >> b3 & m][letter])

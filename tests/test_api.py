@@ -39,10 +39,7 @@ SIGNATURES = {
                   " seed: ForwardRef('int | None') = None)",
     "forced_path_check": "(pfa: 'Pfa', word: 'Sequence[int]')"
                          " -> 'tuple[int | None, ForcedStep | None]'",
-    "ForcedStep": "(position: ForwardRef('int'), subset: ForwardRef('int'),"
-                  " new_letters: ForwardRef('tuple[int, ...]'),"
-                  " undefined_letters: ForwardRef('tuple[int, ...]'),"
-                  " visited_letters: ForwardRef('tuple[int, ...]'))",
+    "ForcedStep": "(position: ForwardRef('int'), subset: ForwardRef('int'))",
     "format_state_set": "(pfa: 'Pfa', mask: 'int') -> 'str'",
     "format_word": "(letters: 'Sequence[str]', word: 'Sequence[int]') -> 'str'",
     "gen_cerny": "(n: 'int') -> 'Pfa'",

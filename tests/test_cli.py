@@ -467,6 +467,14 @@ def test_export_dot(capsys):
     assert '"2" -> "3" [label="b,c"];' in out
 
 
+def test_export_dot_refuses_a_repeated_state_name(tmp_path, capsys):
+    # DOT would merge the two states named x into one node
+    path = tmp_path / "twins.json"
+    path.write_text(automaton_to_json(Pfa(("a", "b"), ((0, 0), (0, 1)), state_names=("x", "x"))))
+    assert main(["export-dot", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: duplicate state name 'x'\n")
+
+
 def test_errata_command(capsys):
     assert main(["errata"]) == 0
     assert "undefined at position 7" in capsys.readouterr().out

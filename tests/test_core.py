@@ -65,6 +65,11 @@ def test_validate_duplicate_letter():
     assert "duplicate" in diags[0]
 
 
+def test_validate_duplicate_state_name():
+    pfa = Pfa(("a", "b"), ((0, 0), (0, 1)), state_names=("x", "x"))
+    assert validate(pfa) == ["duplicate state name 'x'"]
+
+
 def test_validate_row_arity_and_names():
     pfa = Pfa(("a", "b"), ((0,), (0, 1)), state_names=("x",))
     diags = validate(pfa)

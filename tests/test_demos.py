@@ -21,5 +21,5 @@ def test_demo_runs(demo):
     assert proc.stdout.strip()
     if demo.name == "02_counter_grids.py":
         assert "builder word's path is forced: True" in proc.stdout
-        assert "first branches at step 3, from {q0,q1,q3}: new=['c1', 'c2']" in proc.stdout
+        assert "first branches at step 3, from {q0,q1,q3}\n" in proc.stdout
 

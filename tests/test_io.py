@@ -128,6 +128,8 @@ def test_the_longest_gen_document_at_the_table_bound_fits_the_text_bound():
     ("state_names", ["s0", 1, "s2", "s3"], "field 'state_names' must be a list of strings"),
     ("state_names", "s0", "field 'state_names' must be a list of strings"),
     ("metadata", 7, "field 'metadata' must be a string"),
+    ("format_version", True, "unsupported format_version True"),
+    ("format_version", 1.0, "unsupported format_version 1.0"),
 ])
 def test_parse_rejects_malformed_fields(field, value, message):
     doc = json.loads(automaton_to_json(gen_witness()))

@@ -32,8 +32,7 @@ CONSTRUCTORS = {
     CheckResult: [("name", _P, _E), ("passed", _P, _E), ("detail", _P, _E)],
     FamilySpec: [("kind", _P, _E), ("d", _P, None), ("k", _P, None), ("n", _P, None),
                  ("letter_count", _P, None), ("density", _P, None), ("seed", _P, None)],
-    ForcedStep: [("position", _P, _E), ("subset", _P, _E), ("new_letters", _P, _E),
-                 ("undefined_letters", _P, _E), ("visited_letters", _P, _E)],
+    ForcedStep: [("position", _P, _E), ("subset", _P, _E)],
     LiftedCernyMeasurement: [("d", _P, _E), ("n", _P, _E), ("base_word_length", _P, _E),
                              ("word_length", _P, _E), ("synchronizes", _P, _E),
                              ("lower_bound_ok", _P, _E)],

@@ -338,8 +338,7 @@ def test_forced_path_cerny_classic_not_forced():
     # informational only: the classic word's path branches at {q0,q1,q3}
     final, step = forced_path_check(gen_cerny(4), cerny_word(4))
     assert final == 0b0010
-    assert step == ForcedStep(3, 0b1011, new_letters=(0, 1), undefined_letters=(),
-                              visited_letters=())
+    assert step == ForcedStep(3, 0b1011)
 
 
 def test_forced_path_requires_defined_word():
@@ -348,10 +347,10 @@ def test_forced_path_requires_defined_word():
     pfa = gen_witness()
     word = tuple("abc".index(ch) for ch in "a b c a a a b b c a".split())
     assert forced_path_check(pfa, word) == (
-        None, ForcedStep(4, 0b1010, new_letters=(1,), undefined_letters=(2,), visited_letters=(0,)))
+        None, ForcedStep(4, 0b1010))
     # a step whose own letter is undefined is not forced
     assert forced_path_check(pfa, (1,)) == (
-        None, ForcedStep(0, 0b1111, new_letters=(0,), undefined_letters=(1, 2), visited_letters=()))
+        None, ForcedStep(0, 0b1111))
     # the walk stops at the undefined letter, like run_word, before a bad letter
     assert forced_path_check(pfa, (1, 7))[0] is None
 
@@ -362,12 +361,12 @@ def test_forced_path_fails_a_step_from_an_early_singleton():
     assert shortest_careful_word(pfa).word == (0,)
     assert forced_path_check(pfa, (0,)) == (0b01, None)
     assert forced_path_check(pfa, (0, 1)) == (
-        0b10, ForcedStep(1, 0b01, new_letters=(1,), undefined_letters=(), visited_letters=(0,)))
+        0b10, ForcedStep(1, 0b01))
     # on one state the empty word is the shortest, so no step is forced
     one = Pfa(("a",), ((0,),))
     assert forced_path_check(one, ()) == (1, None)
     assert forced_path_check(one, (0,)) == (
-        1, ForcedStep(0, 1, new_letters=(), undefined_letters=(), visited_letters=(0,)))
+        1, ForcedStep(0, 1))
 
 
 def test_forced_path_rejects_out_of_range_letters_and_starts():
@@ -400,7 +399,8 @@ def test_forced_path_compiles_no_table_for_a_walk_that_reads_none():
 def test_forced_path_compiles_nothing_when_its_first_letter_is_undefined(monkeypatch):
     # an unvalidated table: a is undefined on state 0, and b leads both
     # states to 0; row 1's 9 is read only by compile_letters, which a walk
-    # whose first letter is b still needs
+    # whose first letter is b still needs, and not by a walk whose first
+    # letter, a, is undefined, since only the word's own letter is read there
     bad = Pfa(("a", "b"), ((None, 0), (9, 0)))
     with pytest.raises(ValueError, match="^delta row 1 has a target outside 2 states$"):
         forced_path_check(bad, (1,))
@@ -409,14 +409,28 @@ def test_forced_path_compiles_nothing_when_its_first_letter_is_undefined(monkeyp
         raise AssertionError("compiled the chunk tables")
 
     monkeypatch.setattr(search, "compile_letters", _fail)
-    assert forced_path_check(bad, (0,)) == (
-        None, ForcedStep(0, 0b11, new_letters=(1,), undefined_letters=(0,), visited_letters=()))
+    assert forced_path_check(bad, (0,)) == (None, ForcedStep(0, 0b11))
     # no letter is defined on all 16,384 states: the chunk tables would take
     # about 670 MiB
     pfa = gen_random(16384, 8, 0.5, 1)
-    assert forced_path_check(pfa, (0,)) == (
-        None, ForcedStep(0, pfa.full_set(), new_letters=(), undefined_letters=tuple(range(8)),
-                         visited_letters=()))
+    assert forced_path_check(pfa, (0,)) == (None, ForcedStep(0, pfa.full_set()))
+
+
+def test_forced_path_computes_one_image_at_its_unforced_step(monkeypatch):
+    # the word's own letter is the only image read off the table at the
+    # step, not one per letter of the 20
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return image(*args)
+
+    monkeypatch.setattr(search, "image", counted)
+    pfa = gen_random(12, 20, 1.0, 5)
+    final, step = forced_path_check(pfa, (0, 1, 2))
+    assert step.position == 0
+    assert final == run_word(pfa, pfa.full_set(), (0, 1, 2)).final
+    assert len(calls) == 1
 
 
 def test_forced_path_builds_at_most_one_step(monkeypatch):
@@ -439,8 +453,7 @@ def test_forced_path_records_positions():
     g = gen_grid(2, 2)
     final, step = forced_path_check(g, (0, 0, 1, 2, 1, 3))
     assert final == 1
-    assert step == ForcedStep(1, 0b0101, new_letters=(1,), undefined_letters=(2, 3),
-                              visited_letters=(0,))
+    assert step == ForcedStep(1, 0b0101)
 
 
 def _forced_path_reference(pfa, word):
@@ -455,9 +468,7 @@ def _forced_path_reference(pfa, word):
         images = [image(pfa, a, s) for a in width]
         new = [a for a, t in enumerate(images) if t is not None and t not in seen]
         if new != [letter] or s.bit_count() == 1:
-            return run.final, ForcedStep(pos, s, tuple(new),
-                                         tuple(a for a, t in enumerate(images) if t is None),
-                                         tuple(a for a, t in enumerate(images) if t in seen))
+            return run.final, ForcedStep(pos, s)
     return run.final, None
 
 
@@ -534,16 +545,20 @@ def test_forced_path_matches_the_two_pass_definition():
         if step is not None:
             if pfa.n > 32:
                 outcomes.add("wide")
-            new = [image(pfa, a, step.subset) for a in step.new_letters]
+            # every letter's image at the step, against the subsets the run
+            # met up to it
+            seen = set(run_word(pfa, pfa.full_set(), word[:step.position]).trace)
+            images = [image(pfa, a, step.subset) for a in range(len(pfa.letters))]
+            new = [t for t in images if t is not None and t not in seen]
             if len(set(new)) < len(new):
                 outcomes.add("two letters, one new subset")
             # how the word's own letter fails a step from two or more states
-            letter = word[step.position]
+            own = images[word[step.position]]
             if step.subset.bit_count() == 1:
                 outcomes.add("singleton")
-            elif letter in step.visited_letters:
+            elif own in seen:
                 outcomes.add("back, another letter new" if new else "back, nothing new")
-            elif letter in step.new_letters and len(set(new)) > 1:
+            elif own is not None and len(set(new)) > 1:
                 outcomes.add("two new subsets")
     assert outcomes == {type(None), ForcedStep, "letter", "defined", "undefined", "wide",
                         "singleton", "two letters, one new subset", "first letter undefined",
