@@ -74,6 +74,9 @@ def validate(pfa: Pfa) -> list[str]:
         diags.append("automaton must have at least one state")
     seen: set[str] = set()
     for i, name in enumerate(pfa.letters):
+        if not isinstance(name, str):  # no other check reads it: it may not even hash
+            diags.append(f"letter {i} name {name!r} is not a string")
+            continue
         if not name:
             diags.append(f"letter {i} has an empty name")
         elif "^" in name or name.split() != [name]:  # a word could not spell it
@@ -92,17 +95,18 @@ def validate(pfa: Pfa) -> list[str]:
             if not isinstance(t, int) or isinstance(t, bool):
                 diags.append(f"delta[{q}][{pfa.letters[a]!r}] = {t!r} is not a state index")
             elif not 0 <= t < n:
-                diags.append(
-                    f"delta[{q}][{pfa.letters[a]!r}] = {t} is out of range for {n} states"
-                )
+                diags.append(f"delta[{q}][{pfa.letters[a]!r}] = {t} is out of range for {n} states")
     if pfa.state_names is not None:
         if len(pfa.state_names) != n:
             diags.append(f"state_names has {len(pfa.state_names)} entries, expected {n}")
         seen = set()
         for name in pfa.state_names:
-            if name in seen:
+            if not isinstance(name, str):
+                diags.append(f"state name {name!r} is not a string")
+            elif name in seen:
                 diags.append(f"duplicate state name {name!r}")
-            seen.add(name)
+            else:
+                seen.add(name)
     return diags
 
 

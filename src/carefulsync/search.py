@@ -147,20 +147,19 @@ def _letter_lists(width: int) -> tuple[bytes, ...] | dict:
     return _letter_table(width) if width <= 8 else {}
 
 
-def _rebuild(parent: Sequence[int], width: int) -> tuple[int, ...]:
+def _rebuild(parent: Sequence[int], shift: int) -> tuple[int, ...]:
     """The word along the parent links from the start to the last subset found.
 
-    Link ``j`` is ``i * width + a``: subset ``j`` was first reached from
+    Link ``j`` is ``i << shift | a``: subset ``j`` was first reached from
     subset ``i`` by letter ``a``, the least letter mapping one to the other
     since subsets are expanded in BFS order and letters in ascending order.
     """
-    word, j = [], len(parent) - 1
+    word, j, mask = [], len(parent) - 1, (1 << shift) - 1
     while j:
         link = parent[j]
-        j = link // width
-        word.append(link - j * width)
-    word.reverse()
-    return tuple(word)
+        j = link >> shift
+        word.append(link & mask)
+    return tuple(reversed(word))
 
 
 def _bfs(
@@ -210,13 +209,15 @@ def _bfs(
     get = seen.get
     limit = min(max_subsets, (1 << n) >> 6) if n <= FLAT_TABLE_LIMIT else max_subsets
     count = 1
-    # The link of each discovered subset in BFS order: its parent's index
-    # times ``width`` plus the letter that first reached it, in 4 bytes
-    # while every link fits, else 8.  ``base`` is the index of the subset
-    # being expanded times ``width``, kept by one add per subset.  Without
-    # goals no word is rebuilt, so each level's links are dropped, and no
-    # word budget applies: ``depth`` never reaches ``stop``.
-    parent = array("I" if max_subsets * width <= 1 << 32 else "Q", [0])
+    # The link of each discovered subset in BFS order: its parent's index times
+    # ``stride``, ``width`` rounded up to a power of two, ORed with the letter
+    # that first reached it, in 4 bytes while every link fits, else 8.  ``base``
+    # is the index of the subset being expanded times ``stride``, one add per
+    # subset.  Without goals no word is rebuilt, so each level's links are
+    # dropped, and no word budget applies: ``depth`` never reaches ``stop``.
+    shift = (width - 1).bit_length()
+    stride = 1 << shift
+    parent = array("I" if max_subsets * stride <= 1 << 32 else "Q", [0])
     push_parent = parent.append
     level, base = [start], 0
     depth, stop = 0, words.MAX_WORD_LEN if goals else -1
@@ -263,8 +264,8 @@ def _bfs(
                 nxt.append(t)
                 push_parent(base + a)
                 if v:
-                    return _rebuild(parent, width), t, count
-            base += width
+                    return _rebuild(parent, shift), t, count
+            base += stride
         if not goals:
             del parent[:]
         level = nxt
@@ -400,7 +401,7 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
     # The subsets on the path up to the first unforced step, which reads ``letter``: a first
     # letter outside the alphabet or undefined on the full set compiles no table.
     cur, letter = full, word[0]
-    seen = {cur}
+    seen = {cur: None}  # an ordered set: a subscript store is cheaper than ``set.add``
     if letter in defined_letters(pfa, cur):
         b, (t0, t1, t2, t3), wide = compile_letters(pfa)
         b2, b3, m = 2 * b, 3 * b, (1 << b) - 1
@@ -439,7 +440,7 @@ def forced_path_check(pfa: Pfa, word: Sequence[int]) -> tuple[int | None, Forced
             else:
                 if nxt is not None and cur.bit_count() > 1:
                     cur = nxt
-                    seen.add(cur)
+                    seen[cur] = None
                     continue
             break
         else:

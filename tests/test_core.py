@@ -70,6 +70,11 @@ def test_validate_duplicate_state_name():
     assert validate(pfa) == ["duplicate state name 'x'"]
 
 
+def test_validate_state_name_that_is_not_a_string():
+    pfa = Pfa(("a",), ((0,), (1,), (2,)), state_names=(5, ["x"], "5"))
+    assert validate(pfa) == ["state name 5 is not a string", "state name ['x'] is not a string"]
+
+
 def test_validate_row_arity_and_names():
     pfa = Pfa(("a", "b"), ((0,), (0, 1)), state_names=("x",))
     diags = validate(pfa)
@@ -91,6 +96,10 @@ def test_validate_no_states():
     (("x y",), ((0,),), "letter name 'x y' contains whitespace or '^'"),
     (("a\t",), ((0,),), "letter name 'a\\t' contains whitespace or '^'"),
     (("c^2",), ((0,),), "letter name 'c^2' contains whitespace or '^'"),
+    # a name that is not a string gets no other name check: ["a"] cannot hash
+    ((5,), ((0,),), "letter 0 name 5 is not a string"),
+    ((None,), ((0,),), "letter 0 name None is not a string"),
+    ((["a"],), ((0,),), "letter 0 name ['a'] is not a string"),
 ])
 def test_validate_rejections(letters, delta, diag):
     assert validate(Pfa(letters, delta)) == [diag]

@@ -1205,10 +1205,11 @@ def test_search_packs_parent_links_and_flat_table():
 
 
 def test_budgets_past_32_bits_agree_with_the_default(monkeypatch):
-    # a parent link is the parent's index times the letter count plus the
-    # letter, so links take 8 bytes instead of 4 once the budget times the
-    # letter count passes 2^32: from a budget of 2^32 on with 2 letters,
-    # from 2^29 on with 12
+    # a parent link is the parent's index times the stride plus the letter,
+    # the stride being the letter count rounded up to a power of two, so
+    # links take 8 bytes instead of 4 once the budget times the stride
+    # passes 2^32: from a budget of 2^31 + 1 on with 2 letters, from
+    # 2^30 + 1 with 3 (stride 4) and from 2^28 + 1 with 12 (stride 16)
     itemsizes = []
 
     def spy(typecode, *args):
@@ -1217,7 +1218,8 @@ def test_budgets_past_32_bits_agree_with_the_default(monkeypatch):
         return made
 
     monkeypatch.setattr(search, "array", spy)
-    for pfa, last_narrow in ((gen_cerny(10), 1 << 31), (_relabel(gen_grid(2, 6), 3), 1 << 28)):
+    for pfa, last_narrow in ((gen_cerny(10), 1 << 31), (gen_witness(), 1 << 30),
+                             (_relabel(gen_grid(2, 6), 3), 1 << 28)):
         full = pfa.full_set()
         targets = [1 << q for q in range(pfa.n)] + [full]
 
@@ -1230,7 +1232,7 @@ def test_budgets_past_32_bits_agree_with_the_default(monkeypatch):
         wide = outcomes(1 << 40)
         assert set(itemsizes) == {8}
         for cap, itemsize in ((search.DEFAULT_MAX_SUBSETS, 4), (last_narrow, 4),
-                              (2 * last_narrow, 8)):
+                              (last_narrow + 1, 8), (2 * last_narrow, 8)):
             assert outcomes(cap) == wide
             assert set(itemsizes) == {itemsize}
 
